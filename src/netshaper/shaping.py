@@ -146,10 +146,14 @@ DequeuePolicy = Callable[[Mapping[int, BufferingQueue], int], list[PayloadSpan]]
 
 
 def oldest_first(queues: Mapping[int, BufferingQueue], budget: int) -> list[PayloadSpan]:
-    """Dequeue up to ``budget`` bytes globally oldest-enqueued-first.
+    """Dequeue up to ``budget`` bytes, draining one flow at a time.
 
-    Ties on enqueue time break towards the lowest flow id, so the order is
-    deterministic. Minimizes TTL drops among work-conserving policies.
+    Picks the flow whose head span is oldest (ties break towards the lowest
+    flow id, so the order is deterministic) and dequeues from it up to the
+    whole remaining budget; only when that flow runs dry does it pick again.
+    This is not globally oldest-first: a flow's later spans can leave ahead
+    of older spans queued in another flow, so it does not minimise TTL drops
+    either. Within each flow, spans leave in enqueue order.
     """
     taken: list[PayloadSpan] = []
     while budget > 0:

@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, TraceParseError
 
 DIRECTIONS = ("in", "out")
@@ -156,25 +158,51 @@ def windowed_repr(stream: Stream, t_w: int, window: int, interval: int) -> Burst
     Bucket j covers [t_w + j*interval, t_w + (j+1)*interval).
     """
     k = _check_window(window, interval)
-    values = [0] * k
-    for r in stream.records:
-        offset = r.t - t_w
-        if 0 <= offset < window:
-            values[offset // interval] += r.length
-    return BurstVector(t_w, interval, tuple(values))
+    ts, cum = _prefix_sums(stream, t_w, window)
+    edges = np.arange(k + 1, dtype=np.int64) * interval
+    return BurstVector(t_w, interval, tuple(np.diff(cum[np.searchsorted(ts, edges)]).tolist()))
 
 
-def _candidate_starts(a: Stream, b: Stream, window: int, interval: int) -> set[int]:
-    # Burst sums only change when a bucket boundary crosses a packet timestamp,
-    # so it suffices to test windows anchored at each packet timestamp, slid
-    # backwards one bucket at a time until the packet falls out of the window.
-    k = window // interval
-    starts: set[int] = set()
-    for stream in (a, b):
-        for r in stream.records:
-            for j in range(k + 1):
-                starts.add(r.t - j * interval)
-    return starts
+_BLOCK = 1 << 15  # edges per block in _distance, so memory stays bounded
+_INT64_MAX = np.iinfo(np.int64).max
+_Arrays = tuple[np.ndarray, np.ndarray]
+
+
+def _prefix_sums(stream: Stream, base: int, reach: int) -> _Arrays:
+    """Timestamps rebased to ``base`` and byte prefix sums, as int64 arrays.
+
+    The bytes before edge e are ``cum[searchsorted(ts, e)]``; callers look up
+    edges within ``reach`` of the timestamps, so those must fit in int64 too,
+    and so must the byte totals of two streams and their differences.
+    """
+    recs = stream.records
+    span = max(abs(recs[0].t - base), abs(recs[-1].t - base)) + reach if recs else 0
+    if span > _INT64_MAX or stream.total_bytes > _INT64_MAX // 2:
+        raise ConfigError("timestamp span plus window, or twice the byte total, exceeds 2**63 - 1")
+    ts = np.fromiter((r.t - base for r in recs), np.int64, len(recs))
+    cum = np.zeros(len(recs) + 1, np.int64)
+    np.cumsum(np.fromiter((r.length for r in recs), np.int64, len(recs)), out=cum[1:])
+    return ts, cum
+
+
+def _distance(a: _Arrays, b: _Arrays, k: int, interval: int) -> int:
+    (ta, ca), (tb, cb) = a, b
+    # Column p holds the edges t_p + m*interval, m in [-k, k], of anchor t_p;
+    # sorting the anchors sorts each row, which speeds up searchsorted.
+    offsets = np.arange(-k, k + 1, dtype=np.int64)[:, None] * interval
+    anchors = np.sort(np.concatenate((ta, tb)), kind="stable")
+    step = max(1, _BLOCK // (2 * k + 1))
+    best = 0
+    for lo in range(0, len(anchors), step):
+        edges = offsets + anchors[lo : lo + step]
+        gap = ca[np.searchsorted(ta, edges)] - cb[np.searchsorted(tb, edges)]
+        # |a - b| per bucket, summed over the k buckets of each candidate start
+        # t_p - i*interval, i in [0, k]: width-k sliding sums down each column.
+        sums = np.cumsum(np.abs(np.diff(gap, axis=0)), axis=0)
+        windows = sums[k - 1 :]
+        windows[1:] -= sums[:k]
+        best = max(best, int(windows.max()))
+    return best
 
 
 def neighboring_distance(a: Stream, b: Stream, window: int, interval: int) -> int:
@@ -183,17 +211,23 @@ def neighboring_distance(a: Stream, b: Stream, window: int, interval: int) -> in
     Returns max over candidate window starts t_w of
     ``||a_{t_w,window} - b_{t_w,window}||_1``. Two streams are neighbors under
     a bound d iff the return value is <= d. Window starts are evaluated at the
-    discrete candidate set anchored on packet timestamps; this is exact for
+    discrete candidate set t_p - i*interval, i in [0, k], k = window/interval,
+    for every packet timestamp t_p of either stream; this is exact for
     interval-aligned streams and a documented discretization of the
     continuous-time maximum otherwise.
+
+    Every window edge is then some t_p + m*interval, m in [-k, k]. Per anchor
+    t_p, binary searches into each stream's byte prefix sums give the 2k
+    bucket differences, and width-k sliding sums over them score the k+1
+    candidates. This is exact, O(n*k*log n) for n packets, and works in
+    blocks of at most 2**15 edges (or one anchor's 2k+1). Timestamps are
+    rebased to the earlier stream start; their span plus the window must stay
+    below 2**63 ns (about 292 years) and each byte total below 2**62, else
+    ConfigError.
     """
-    _check_window(window, interval)
-    best = 0
-    for t_w in _candidate_starts(a, b, window, interval):
-        d = windowed_repr(a, t_w, window, interval).l1(windowed_repr(b, t_w, window, interval))
-        if d > best:
-            best = d
-    return best
+    k = _check_window(window, interval)
+    base = min((s.records[0].t for s in (a, b) if s.records), default=0)
+    return _distance(_prefix_sums(a, base, window), _prefix_sums(b, base, window), k, interval)
 
 
 @dataclass(frozen=True)
@@ -219,11 +253,14 @@ def pairwise_distance_distribution(streams: Sequence[Stream], window: int, inter
     """Distance percentiles over all unordered stream pairs."""
     if len(streams) < 2:
         raise ConfigError("need at least two streams for a pairwise distribution")
-    distances = []
-    for i in range(len(streams)):
-        for j in range(i + 1, len(streams)):
-            distances.append(neighboring_distance(streams[i], streams[j], window, interval))
-    distances.sort()
+    k = _check_window(window, interval)
+    base = min((s.records[0].t for s in streams if s.records), default=0)
+    arrays = [_prefix_sums(s, base, window) for s in streams]
+    distances = sorted(
+        _distance(arrays[i], arrays[j], k, interval)
+        for i in range(len(arrays))
+        for j in range(i + 1, len(arrays))
+    )
     return DistanceTable(
         pairs=len(distances),
         p50=_nearest_rank(distances, 50),

@@ -44,6 +44,7 @@ CONTROL_FLOW = 0
 APP_CHUNK = 16384
 HANDOFF_CHUNKS = 64
 RX_CHUNKS = 64
+DELIVER_TIMEOUT = 5.0
 _EOF = object()
 
 
@@ -65,6 +66,7 @@ class FlowEntry:
     fin_rcvd: bool = False
     rst: bool = False
     dead: bool = False
+    writer: threading.Thread | None = None
 
     @property
     def state(self) -> str:
@@ -125,6 +127,10 @@ class TunnelEndpoint:
         self._stop = threading.Event()
         self._closing = threading.Event()
         self._threads: list[threading.Thread] = []
+        # A graceful close finishes once both the prepare and the receive
+        # loop have ended; any other end of either loop finishes at once.
+        self._graceful_ends = 0
+        self._graceful_lock = threading.Lock()
         self._wire_sock: socket.socket | None = None
         self._listen_sock: socket.socket | None = None
         self._app_listen_sock: socket.socket | None = None
@@ -149,10 +155,11 @@ class TunnelEndpoint:
 
     # --- establishment ---
 
-    def _spawn(self, target, name):
+    def _spawn(self, target, name) -> threading.Thread:
         t = threading.Thread(target=target, name=f"{self.role}-{name}", daemon=True)
         t.start()
         self._threads.append(t)
+        return t
 
     def establish(self) -> None:
         """Connect or accept the wire socket and run the parameter handshake."""
@@ -227,6 +234,12 @@ class TunnelEndpoint:
         with self._flows_lock:
             entries = list(self.flows.values())
         for entry in entries:
+            # close() does not wake a reader blocked in recv; shutdown() does.
+            if entry.sock is not None:
+                try:
+                    entry.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             self._teardown_flow(entry)
         for t in self._threads:
             t.join(timeout)
@@ -273,7 +286,7 @@ class TunnelEndpoint:
         conn.sendall(json.dumps({"ok": True, "flow_id": flow_id}).encode() + b"\n")
         self._touch()
         self._spawn(lambda: self._app_reader(entry), f"read-{flow_id}")
-        self._spawn(lambda: self._app_writer(entry), f"write-{flow_id}")
+        entry.writer = self._spawn(lambda: self._app_writer(entry), f"write-{flow_id}")
         log.info("flow %d registered for %s:%s", flow_id, dst_host, dst_port)
 
     @staticmethod
@@ -342,6 +355,7 @@ class TunnelEndpoint:
         epoch = time.monotonic()
         k = 0
         bye_sent = False
+        graceful = False
         try:
             while not self._stop.is_set():
                 k += 1
@@ -381,6 +395,7 @@ class TunnelEndpoint:
 
                 self._progress_flow_closes()
                 if bye_sent and not self._control_tx and self.shaper.queued_total == 0:
+                    graceful = True
                     break
                 if (
                     cfg.idle_timeout > 0
@@ -394,7 +409,16 @@ class TunnelEndpoint:
             log.warning("prepare loop stopped: %s", exc)
         finally:
             self._tx_queue.put(None)
-            self.finished.set()
+            if graceful:
+                self._loop_ended_gracefully()
+            else:
+                self.finished.set()
+
+    def _loop_ended_gracefully(self):
+        with self._graceful_lock:
+            self._graceful_ends += 1
+            if self._graceful_ends == 2:
+                self.finished.set()
 
     def _drain_control(self, now_ns: int):
         while True:
@@ -549,7 +573,26 @@ class TunnelEndpoint:
         except (SessionError, OSError) as exc:
             if not self._stop.is_set() and not self._closing.is_set():
                 log.warning("receive worker stopped: %s", exc)
+        if self._stop.is_set() or not self._closing.is_set():
             self.finished.set()
+            return
+        # The wire ended during a close: hand what arrived to the applications
+        # before the session counts as finished.
+        self._deliver_received()
+        self._loop_ended_gracefully()
+
+    def _deliver_received(self):
+        """Let each flow's writer hand its queued bytes to the application."""
+        deadline = time.monotonic() + DELIVER_TIMEOUT
+        with self._flows_lock:
+            entries = list(self.flows.values())
+        for entry in entries:
+            try:
+                entry.rx_q.put(_EOF, timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Full:
+                continue
+            if entry.writer is not None:
+                entry.writer.join(max(0.0, deadline - time.monotonic()))
 
     def _process_tick(self, interval: int, dp_len: int, block: bytes):
         frames = decode_block(block)
@@ -635,5 +678,5 @@ class TunnelEndpoint:
                 self.stats["integrity_errors"] += 1
         self._touch()
         self._spawn(lambda: self._app_reader(entry), f"read-{flow_id}")
-        self._spawn(lambda: self._app_writer(entry), f"write-{flow_id}")
+        entry.writer = self._spawn(lambda: self._app_writer(entry), f"write-{flow_id}")
         log.info("flow %d opened towards %s:%s", flow_id, dst_host, dst_port)

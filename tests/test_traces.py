@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netshaper.errors import ConfigError, TraceParseError
 from netshaper.traces import (
@@ -155,6 +156,58 @@ def brute_force_distance(a, b, window, interval):
             diff += abs(sa - sb)
         best = max(best, diff)
     return best
+
+
+@st.composite
+def oracle_cases(draw):
+    """(a, b, window, interval) with ties, empty streams and unaligned times.
+
+    The base offset puts some streams next to 2**62 and some so close to
+    2**63 that t + window leaves int64, which only rebasing survives.
+    """
+    interval = draw(st.sampled_from([7, 100, 250]))
+    window = interval * draw(st.integers(1, 6))
+    span = 12 * interval
+    base = draw(st.sampled_from([0, 2**62, 2**63 - 1 - span]))
+    pool = draw(st.lists(st.integers(0, span), min_size=1, max_size=4))
+    aligned = st.integers(0, 12).map(lambda j: j * interval)
+    times = st.one_of(st.sampled_from(pool), aligned, st.integers(0, span))
+    points = st.lists(st.tuples(times.map(lambda t: base + t), st.integers(1, 2000)), max_size=8)
+    return make_stream(draw(points)), make_stream(draw(points)), window, interval
+
+
+@settings(max_examples=300)
+@given(oracle_cases())
+def test_distance_equals_brute_force_oracle(case):
+    a, b, window, interval = case
+    assert neighboring_distance(a, b, window, interval) == brute_force_distance(a, b, window, interval)
+
+
+@settings(max_examples=300)
+@given(oracle_cases(), st.integers(-8, 14))
+def test_windowed_repr_equals_per_packet_loop(case, shift):
+    a, _, window, interval = case
+    t_w = (a.records[0].t if a.records else 0) + shift * interval // 3
+    expect = [0] * (window // interval)
+    for r in a.records:
+        if t_w <= r.t < t_w + window:
+            expect[(r.t - t_w) // interval] += r.length
+    got = windowed_repr(a, t_w, window, interval).values
+    assert got == tuple(expect)
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0, 1), (2**63 - 1000, 1)], [(0, 2**62), (5, 2**62)]],
+    ids=["timestamp-span", "byte-total"],
+)
+def test_distance_rejects_int64_overflow(points):
+    s = make_stream(points)
+    with pytest.raises(ConfigError):
+        neighboring_distance(s, make_stream([]), 2000, 1000)
+    with pytest.raises(ConfigError):
+        windowed_repr(s, 0, 2000, 1000)
 
 
 def test_distance_identity():
