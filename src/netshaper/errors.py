@@ -21,10 +21,6 @@ class SchedulingError(NetshaperError, RuntimeError):
     """The shaping step was driven off its interval schedule."""
 
 
-class QueueFull(NetshaperError, RuntimeError):
-    """A bounded buffering queue rejected an enqueue; caller must back off."""
-
-
 class SessionError(NetshaperError, RuntimeError):
     """Tunnel session could not be established or broke down."""
 

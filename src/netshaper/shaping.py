@@ -1,10 +1,15 @@
-"""Buffering queue with TTL and the per-interval DP shaping step.
+"""One FIFO with a TTL, and the per-interval DP shaping step.
 
-Each shaping interval runs a fixed order of effects: expire bytes older than
-the neighboring window, measure the total queued length with a noisy query,
-then dequeue up to the noisy length as payload and pad the rest with dummy
-bytes. Emission times are a function of configuration only, never of queue
-contents.
+Bytes from every flow wait in one FIFO in arrival order; bytes enqueued at
+the same time leave in enqueue order. Each shaping interval runs a fixed
+order of effects: expire bytes older than the neighboring window, measure the
+total queued length with a noisy query, then dequeue up to the noisy length
+from the head as payload and pad the rest with dummy bytes. Emission times
+are a function of configuration only, never of queue contents.
+
+Next to the FIFO the shaper keeps a running total and one byte counter per
+flow. The tunnel reads the counters for its per-flow cap and uses
+``discard_flow`` to tear a flow down.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .dpcore import DpParams, sample_gaussian
-from .errors import ConfigError, QueueFull, SchedulingError
+from .errors import SchedulingError
 
 
 class PayloadSpan(NamedTuple):
@@ -25,92 +30,14 @@ class PayloadSpan(NamedTuple):
     enqueue_time: int
 
 
-class DroppedSpan(NamedTuple):
-    flow_id: int
-    length: int
-    enqueue_time: int
-
-
-class _Span:
-    __slots__ = ("enqueue_time", "remaining", "flow_id")
-
-    def __init__(self, enqueue_time: int, remaining: int, flow_id: int):
-        self.enqueue_time = enqueue_time
-        self.remaining = remaining
-        self.flow_id = flow_id
-
-
-class BufferingQueue:
-    """FIFO of timestamped byte spans with TTL semantics.
-
-    Spans are ordered by enqueue time; ``flush_expired(now, window)`` removes
-    every byte enqueued before ``now - window`` (a byte enqueued at t survives
-    through exactly t + window). An optional capacity turns enqueue overflow
-    into a QueueFull backpressure signal.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._spans: deque[_Span] = deque()
-        self._total = 0
-
-    @property
-    def size(self) -> int:
-        """Total queued bytes."""
-        return self._total
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-    def enqueue(self, flow_id: int, n: int, now: int) -> None:
-        if n < 1:
-            raise ValueError(f"enqueue size must be >= 1, got {n}")
-        if self._spans and now < self._spans[-1].enqueue_time:
-            raise ValueError("enqueue times must be non-decreasing")
-        if self.capacity is not None and self._total + n > self.capacity:
-            raise QueueFull(f"queue at {self._total}/{self.capacity} bytes cannot take {n}")
-        self._spans.append(_Span(now, n, flow_id))
-        self._total += n
-
-    def flush_expired(self, now: int, window: int) -> list[DroppedSpan]:
-        """Drop every byte with enqueue_time < now - window; return dropped spans."""
-        deadline = now - window
-        dropped: list[DroppedSpan] = []
-        while self._spans and self._spans[0].enqueue_time < deadline:
-            span = self._spans.popleft()
-            dropped.append(DroppedSpan(span.flow_id, span.remaining, span.enqueue_time))
-            self._total -= span.remaining
-        return dropped
-
-    def peek_oldest(self) -> int | None:
-        """Enqueue time of the head span, or None when empty."""
-        return self._spans[0].enqueue_time if self._spans else None
-
-    def dequeue(self, n: int) -> list[PayloadSpan]:
-        """Take up to n bytes from the head, splitting the last span if needed."""
-        taken: list[PayloadSpan] = []
-        need = n
-        while need > 0 and self._spans:
-            head = self._spans[0]
-            take = min(need, head.remaining)
-            taken.append(PayloadSpan(head.flow_id, take, head.enqueue_time))
-            head.remaining -= take
-            self._total -= take
-            need -= take
-            if head.remaining == 0:
-                self._spans.popleft()
-        return taken
-
-
 @dataclass(frozen=True)
 class ShapedBuffer:
     """Per-interval output: the noisy length split into payload and dummy.
 
-    ``queue_len`` is the exact queued total the noisy query measured (after
-    TTL expiry, before dequeue); kept for accounting and tests only, it never
-    reaches the wire.
+    ``flushed`` holds the spans the TTL expired this interval (``drops``
+    bytes in total). ``queue_len`` is the exact queued total the noisy query
+    measured (after TTL expiry, before dequeue); kept for accounting and
+    tests only, it never reaches the wire.
     """
 
     interval_index: int
@@ -118,7 +45,7 @@ class ShapedBuffer:
     payload: tuple[PayloadSpan, ...]
     dummy: int
     drops: int
-    flushed: tuple[DroppedSpan, ...] = ()
+    flushed: tuple[PayloadSpan, ...] = ()
     queue_len: int = 0
 
     def __post_init__(self):
@@ -142,95 +69,52 @@ def dp_query(q_len: int, params: DpParams, sigma: float, rng: random.Random) -> 
     return int(math.floor(clamped + 0.5))
 
 
-DequeuePolicy = Callable[[Mapping[int, BufferingQueue], int], list[PayloadSpan]]
-
-
-def oldest_first(queues: Mapping[int, BufferingQueue], budget: int) -> list[PayloadSpan]:
-    """Dequeue up to ``budget`` bytes, draining one flow at a time.
-
-    Picks the flow whose head span is oldest (ties break towards the lowest
-    flow id, so the order is deterministic) and dequeues from it up to the
-    whole remaining budget; only when that flow runs dry does it pick again.
-    This is not globally oldest-first: a flow's later spans can leave ahead
-    of older spans queued in another flow, so it does not minimise TTL drops
-    either. Within each flow, spans leave in enqueue order.
-    """
-    taken: list[PayloadSpan] = []
-    while budget > 0:
-        oldest_key = None
-        oldest_time = None
-        for key in sorted(queues):
-            head = queues[key].peek_oldest()
-            if head is None:
-                continue
-            if oldest_time is None or head < oldest_time:
-                oldest_key = key
-                oldest_time = head
-        if oldest_key is None:
-            break
-        for span in queues[oldest_key].dequeue(budget):
-            taken.append(span)
-            budget -= span.length
-    return taken
-
-
-def prepare_shaped_buffer(
-    queues: Mapping[int, BufferingQueue],
-    dp_len: int,
-    interval_index: int = 0,
-    policy: DequeuePolicy = oldest_first,
-) -> ShapedBuffer:
-    """Fill a shaped buffer of exactly dp_len bytes: payload first, dummy after."""
-    if dp_len < 0:
-        raise ValueError(f"dp_len must be >= 0, got {dp_len}")
-    payload = policy(queues, dp_len)
-    taken = sum(s.length for s in payload)
-    if taken > dp_len:
-        raise ValueError("dequeue policy exceeded the shaped length")
-    return ShapedBuffer(interval_index, dp_len, tuple(payload), dp_len - taken, 0)
-
-
 class Shaper:
-    """Single-owner shaping state: per-flow queues plus the interval schedule.
+    """Single-owner shaping state: one FIFO with per-flow counters, plus the schedule.
 
-    Exactly one execution context may call shaping_step; producers hand bytes
-    in through enqueue (or an external channel drained by the owner) before
-    the step runs.
+    The FIFO holds immutable ``(enqueue_time, flow_id, remaining)`` tuples
+    with non-decreasing enqueue times; a byte enqueued at t survives through
+    exactly t + window. Exactly one execution context may call shaping_step;
+    producers hand bytes in through enqueue (or an external channel drained
+    by the owner) before the step runs. ``bytes_dropped`` counts bytes lost
+    to the TTL and bytes removed by ``discard_flow``.
     """
 
-    def __init__(
-        self,
-        params: DpParams,
-        sigma: float,
-        rng: random.Random,
-        queue_capacity: int | None = None,
-        policy: DequeuePolicy = oldest_first,
-    ):
+    def __init__(self, params: DpParams, sigma: float, rng: random.Random):
         self.params = params
         self.sigma = sigma
         self.rng = rng
-        self.queue_capacity = queue_capacity
-        self.policy = policy
-        self.queues: dict[int, BufferingQueue] = {}
+        self._fifo: deque[tuple[int, int, int]] = deque()
+        self._flow_bytes: dict[int, int] = {}
+        self.queued_total = 0
         self.last_interval: int | None = None
         self.bytes_in = 0
         self.bytes_out = 0
         self.bytes_dropped = 0
 
-    def queue_for(self, flow_id: int) -> BufferingQueue:
-        queue = self.queues.get(flow_id)
-        if queue is None:
-            queue = BufferingQueue(self.queue_capacity)
-            self.queues[flow_id] = queue
-        return queue
+    def queued(self, flow_id: int) -> int:
+        """Bytes of ``flow_id`` waiting in the FIFO."""
+        return self._flow_bytes.get(flow_id, 0)
 
     def enqueue(self, flow_id: int, n: int, now: int) -> None:
-        self.queue_for(flow_id).enqueue(flow_id, n, now)
+        if n < 1:
+            raise ValueError(f"enqueue size must be >= 1, got {n}")
+        fifo = self._fifo
+        if fifo and now < fifo[-1][0]:
+            raise ValueError("enqueue times must be non-decreasing")
+        fifo.append((now, flow_id, n))
+        self._flow_bytes[flow_id] = self._flow_bytes.get(flow_id, 0) + n
+        self.queued_total += n
         self.bytes_in += n
 
-    @property
-    def queued_total(self) -> int:
-        return sum(q.size for q in list(self.queues.values()))
+    def discard_flow(self, flow_id: int) -> int:
+        """Remove every queued byte of ``flow_id``; return how many there were."""
+        n = self._flow_bytes.pop(flow_id, 0)
+        if n:
+            self._fifo = deque(span for span in self._fifo if span[1] != flow_id)
+            self.queued_total -= n
+            self.bytes_dropped += n
+        return n
 
     def shaping_step(self, now: int) -> ShapedBuffer:
         """Run one interval: flush expired, query with noise, dequeue, pad.
@@ -246,14 +130,34 @@ class Shaper:
             raise SchedulingError(f"interval {index} already shaped")
         self.last_interval = index
 
-        flushed: list[DroppedSpan] = []
-        for queue in list(self.queues.values()):
-            flushed.extend(queue.flush_expired(now, self.params.window))
-        drops = sum(s.length for s in flushed)
+        fifo = self._fifo
+        flow_bytes = self._flow_bytes
+        deadline = now - self.params.window
+        flushed = []
+        drops = 0
+        while fifo and fifo[0][0] < deadline:
+            t, flow, n = fifo.popleft()
+            flow_bytes[flow] -= n
+            drops += n
+            flushed.append(PayloadSpan(flow, n, t))
+        self.queued_total -= drops
         self.bytes_dropped += drops
 
         q_len = self.queued_total
         dp_len = dp_query(q_len, self.params, self.sigma, self.rng)
-        buf = prepare_shaped_buffer(self.queues, dp_len, index, self.policy)
-        self.bytes_out += buf.payload_bytes
-        return ShapedBuffer(index, dp_len, buf.payload, buf.dummy, drops, tuple(flushed), q_len)
+        payload = []
+        budget = dp_len
+        while budget and fifo:
+            t, flow, n = fifo[0]
+            if n <= budget:
+                fifo.popleft()
+            else:
+                fifo[0] = (t, flow, n - budget)
+                n = budget
+            flow_bytes[flow] -= n
+            budget -= n
+            payload.append(PayloadSpan(flow, n, t))
+        taken = dp_len - budget
+        self.queued_total -= taken
+        self.bytes_out += taken
+        return ShapedBuffer(index, dp_len, tuple(payload), budget, drops, tuple(flushed), q_len)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..dpcore import DpParams
 from ..errors import ConfigError
@@ -48,7 +48,6 @@ class TunnelConfig:
     mtu: int = 1400
     cipher: str = CIPHER_AESGCM
     idle_timeout: int = 0  # ns, 0 disables
-    extra: dict = field(default_factory=dict)
 
     def wire_params(self) -> dict:
         """Parameter set both endpoints must agree on at establish time."""

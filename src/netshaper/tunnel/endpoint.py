@@ -56,7 +56,6 @@ class FlowEntry:
     sock: socket.socket | None
     handoff: queue.Queue = field(default_factory=lambda: queue.Queue(HANDOFF_CHUNKS))
     rx_q: queue.Queue = field(default_factory=lambda: queue.Queue(RX_CHUNKS))
-    privacy_descriptor: dict | None = None
     staged: bytes | None = None
     buffer: bytearray = field(default_factory=bytearray)
     tx_offset: int = 0
@@ -67,14 +66,6 @@ class FlowEntry:
     rst: bool = False
     dead: bool = False
     writer: threading.Thread | None = None
-
-    @property
-    def state(self) -> str:
-        if self.dead:
-            return "closed"
-        if self.tx_eof or self.fin_sent or self.fin_rcvd:
-            return "closing"
-        return "active" if self.sock is not None else "idle"
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -113,7 +104,7 @@ class TunnelEndpoint:
         cap = None
         if math.isfinite(params.cutoff):
             cap = int(params.cutoff) * params.intervals_per_window
-        self.shaper = Shaper(params, self.sigma, random.Random(seed), queue_capacity=None)
+        self.shaper = Shaper(params, self.sigma, random.Random(seed))
         self._queue_cap = cap
         self.flows: dict[int, FlowEntry] = {}
         self._flows_lock = threading.Lock()
@@ -273,7 +264,7 @@ class TunnelEndpoint:
         with self._flows_lock:
             flow_id = self._allocate_flow_id()
             if flow_id is not None:
-                entry = FlowEntry(flow_id, conn, privacy_descriptor=req.get("privacy_descriptor"))
+                entry = FlowEntry(flow_id, conn)
                 self.flows[flow_id] = entry
         if entry is None:
             self.stats["flows_rejected"] += 1
@@ -370,8 +361,10 @@ class TunnelEndpoint:
                     self._send_control({"op": "bye"})
                     bye_sent = True
 
-                self._drain_control(now_ns)
+                # Data is stamped a tick earlier than control, so it goes
+                # first to keep the FIFO's enqueue times non-decreasing.
                 self._drain_handoffs(now_ns)
+                self._drain_control(now_ns)
                 buf = self.shaper.shaping_step(now_ns)
                 self._apply_flushes(buf)
                 frames = self._build_tick_frames(buf)
@@ -434,7 +427,7 @@ class TunnelEndpoint:
             entries = list(self.flows.values())
         arrival = max(0, now_ns - self.cfg.params.interval)
         for entry in entries:
-            queue_size = self.shaper.queue_for(entry.flow_id).size
+            queue_size = self.shaper.queued(entry.flow_id)
             while True:
                 if entry.staged is None:
                     try:
@@ -504,12 +497,13 @@ class TunnelEndpoint:
                 entry.tx_eof = True
 
     def _progress_flow_closes(self):
-        # Runs on the prepare thread only; it is the sole owner of flow
-        # teardown so the shaping queues never change under a running step.
+        # Runs on the prepare thread only; it is the sole owner of the shaper,
+        # so a flow's queued bytes never vanish under a running step.
         with self._flows_lock:
             entries = list(self.flows.values())
         for entry in entries:
             if entry.rst:
+                self.shaper.discard_flow(entry.flow_id)
                 self._teardown_flow(entry)
                 continue
             if (
@@ -517,12 +511,13 @@ class TunnelEndpoint:
                 and not entry.fin_sent
                 and entry.staged is None
                 and not entry.buffer
-                and self.shaper.queue_for(entry.flow_id).size == 0
+                and self.shaper.queued(entry.flow_id) == 0
                 and entry.handoff.empty()
             ):
                 entry.fin_sent = True
                 self._send_control({"op": "close", "flow": entry.flow_id, "mode": "fin"})
             if entry.fin_sent and entry.fin_rcvd:
+                self.shaper.discard_flow(entry.flow_id)
                 self._teardown_flow(entry)
 
     def _teardown_flow(self, entry: FlowEntry | None):
@@ -532,7 +527,6 @@ class TunnelEndpoint:
         entry.rx_q.put(_EOF)
         with self._flows_lock:
             self.flows.pop(entry.flow_id, None)
-        self.shaper.queues.pop(entry.flow_id, None)
         if entry.sock is not None:
             try:
                 entry.sock.close()

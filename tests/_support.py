@@ -10,6 +10,16 @@ from netshaper.shaping import ShapedBuffer, Shaper
 from netshaper.traces import PacketRecord, Stream
 
 
+class ForcedNoise:
+    """Stands in for random.Random with a scripted noise sequence."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def gauss(self, mu, sigma):
+        return self.values.pop(0)
+
+
 @dataclass
 class NeighborScenario:
     params: DpParams

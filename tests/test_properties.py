@@ -1,15 +1,19 @@
-"""Hypothesis property tests for the queue and the frame codec."""
+"""Hypothesis property tests for the shaper FIFO and the frame codec."""
 
 from hypothesis import given, settings, strategies as st
 
-from netshaper.shaping import BufferingQueue
+from _support import ForcedNoise
+from netshaper.dpcore import DpParams
+from netshaper.shaping import Shaper
 from netshaper.tunnel.frames import KIND_DATA, build_frames, decode_block, encode_block
+
+PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500)
+
 
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.integers(1, 500), st.integers(0, 50)),
-        st.tuples(st.just("dequeue"), st.integers(0, 600), st.just(0)),
-        st.tuples(st.just("flush"), st.integers(10, 200), st.just(0)),
+        st.tuples(st.just("step"), st.integers(0, 600), st.integers(1, 8)),
     ),
     max_size=60,
 )
@@ -18,31 +22,32 @@ queue_ops = st.lists(
 @settings(deadline=None, max_examples=200)
 @given(queue_ops)
 def test_queue_matches_reference_model(ops):
-    q = BufferingQueue()
+    shaper = Shaper(PARAMS, 1.0, None)
     model: list[list[int]] = []  # [enqueue_time, remaining]
-    now = 0
+    t = now = 0
     for op, arg, dt in ops:
         if op == "enqueue":
-            now += dt
-            q.enqueue(1, arg, now)
-            model.append([now, arg])
-        elif op == "dequeue":
-            got = sum(s.length for s in q.dequeue(arg))
-            want, left = 0, arg
-            while left > 0 and model:
-                step = min(left, model[0][1])
-                model[0][1] -= step
-                want += step
-                left -= step
-                if model[0][1] == 0:
-                    model.pop(0)
-            assert got == want
-        else:
-            dropped = sum(s.length for s in q.flush_expired(now, arg))
-            keep = [m for m in model if m[0] >= now - arg]
-            assert dropped == sum(m[1] for m in model) - sum(m[1] for m in keep)
-            model = keep
-        assert q.size == sum(m[1] for m in model)
+            t += dt
+            shaper.enqueue(1, arg, t)
+            model.append([t, arg])
+            continue
+        now = (max(t, now) // PARAMS.interval + dt) * PARAMS.interval
+        t = now
+        shaper.rng = ForcedNoise(arg - shaper.queued_total)
+        buf = shaper.shaping_step(now)
+        keep = [m for m in model if m[0] >= now - PARAMS.window]
+        assert buf.drops == sum(m[1] for m in model) - sum(m[1] for m in keep)
+        model = keep
+        want, left = 0, buf.dp_len
+        while left > 0 and model:
+            step = min(left, model[0][1])
+            model[0][1] -= step
+            want += step
+            left -= step
+            if model[0][1] == 0:
+                model.pop(0)
+        assert buf.payload_bytes == want
+        assert shaper.queued_total == shaper.queued(1) == sum(m[1] for m in model)
 
 
 frame_inputs = st.tuples(

@@ -1,107 +1,92 @@
-"""Buffering queue and shaping step tests."""
+"""FIFO and shaping step tests."""
 
+import math
 import random
 
 import pytest
 
-from _support import make_neighbor_pair, run_shaper
+from _support import ForcedNoise, make_neighbor_pair, run_shaper
 from netshaper.dpcore import DpParams
-from netshaper.errors import QueueFull, SchedulingError
-from netshaper.shaping import (
-    BufferingQueue,
-    Shaper,
-    dp_query,
-    oldest_first,
-    prepare_shaped_buffer,
-)
+from netshaper.errors import SchedulingError
+from netshaper.shaping import PayloadSpan, ShapedBuffer, Shaper, dp_query
 
 PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500, cutoff=10_000)
 
 
-class ForcedNoise:
-    """Stands in for random.Random with a scripted noise sequence."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def gauss(self, mu, sigma):
-        return self.values.pop(0)
+# --- the FIFO, single flow ---
 
 
-# --- BufferingQueue ---
+def step_with_noise(shaper: Shaper, now: int, noise: float) -> ShapedBuffer:
+    """One shaping step whose noise draw is ``noise``."""
+    shaper.rng = ForcedNoise(noise)
+    return shaper.shaping_step(now)
 
 
 def test_enqueue_totals():
-    q = BufferingQueue()
-    q.enqueue(1, 100, 0)
-    assert q.size == 100
-    q.enqueue(1, 200, 5)
-    assert q.size == 300
-    assert [s.length for s in q.dequeue(300)] == [100, 200]
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper.enqueue(1, 100, 0)
+    assert shaper.queued_total == shaper.queued(1) == 100
+    shaper.enqueue(1, 200, 5)
+    assert shaper.queued_total == shaper.queued(1) == 300
+    assert shaper.queued(2) == 0
+    buf = step_with_noise(shaper, 100, 0.0)
+    assert [s.length for s in buf.payload] == [100, 200]
+    assert shaper.queued_total == shaper.queued(1) == 0
 
 
 def test_enqueue_rejects_bad_sizes_and_times():
-    q = BufferingQueue()
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
     with pytest.raises(ValueError):
-        q.enqueue(1, 0, 0)
-    q.enqueue(1, 10, 100)
+        shaper.enqueue(1, 0, 0)
+    shaper.enqueue(1, 10, 100)
     with pytest.raises(ValueError):
-        q.enqueue(1, 10, 99)
-
-
-def test_capacity_backpressure():
-    q = BufferingQueue(capacity=150)
-    q.enqueue(1, 100, 0)
-    with pytest.raises(QueueFull):
-        q.enqueue(1, 51, 1)
-    q.enqueue(1, 50, 1)
-    assert q.size == 150
+        shaper.enqueue(1, 10, 99)
+    with pytest.raises(ValueError):
+        shaper.enqueue(2, 10, 99)  # one FIFO: the order holds across flows
 
 
 def test_flush_boundaries():
-    window = 500
-    q = BufferingQueue()
-    q.enqueue(1, 500, 1000)
-    assert q.flush_expired(1000 + window, window) == []  # aged exactly W survives
-    dropped = q.flush_expired(1000 + window + 1, window)
-    assert [(d.length, d.enqueue_time) for d in dropped] == [(500, 1000)]
-    assert q.size == 0
-    assert q.flush_expired(10_000, window) == []
+    window = PARAMS.window
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper.enqueue(1, 500, 1000)
+    buf = step_with_noise(shaper, 1000 + window, -1e9)  # aged exactly W survives
+    assert buf.flushed == () and buf.drops == 0 and buf.queue_len == 500
+    buf = step_with_noise(shaper, 1000 + window + PARAMS.interval, -1e9)
+    assert [(d.flow_id, d.length, d.enqueue_time) for d in buf.flushed] == [(1, 500, 1000)]
+    assert buf.drops == 500 and buf.queue_len == 0
+    assert shaper.queued_total == shaper.queued(1) == 0
+    assert step_with_noise(shaper, 10_000, 0.0).flushed == ()
 
 
 def test_queue_matches_list_model():
     rng = random.Random(99)
-    q = BufferingQueue()
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
     model: list[list[int]] = []  # [enqueue_time, remaining]
-    now = 0
+    t = now = 0
     for _ in range(3000):
-        op = rng.randrange(3)
-        if op == 0:
+        if rng.randrange(2) == 0:
+            t += rng.randint(0, 50)
             n = rng.randint(1, 500)
-            now += rng.randint(0, 50)
-            q.enqueue(1, n, now)
-            model.append([now, n])
-        elif op == 1:
-            want = rng.randint(0, 600)
-            got = sum(s.length for s in q.dequeue(want))
-            take = want
-            expect = 0
-            while take > 0 and model:
-                step = min(take, model[0][1])
-                model[0][1] -= step
-                expect += step
-                take -= step
-                if model[0][1] == 0:
-                    model.pop(0)
-            assert got == expect
-        else:
-            window = rng.randint(10, 200)
-            dropped = sum(s.length for s in q.flush_expired(now, window))
-            keep = [m for m in model if m[0] >= now - window]
-            expect = sum(m[1] for m in model) - sum(m[1] for m in keep)
-            model = keep
-            assert dropped == expect
-        assert q.size == sum(m[1] for m in model)
+            shaper.enqueue(1, n, t)
+            model.append([t, n])
+            continue
+        now = (max(t, now) // PARAMS.interval + rng.randint(1, 3)) * PARAMS.interval
+        t = now
+        want = rng.randint(0, 600)
+        buf = step_with_noise(shaper, now, want - shaper.queued_total)
+        keep = [m for m in model if m[0] >= now - PARAMS.window]
+        assert buf.drops == sum(m[1] for m in model) - sum(m[1] for m in keep)
+        model = keep
+        expect, take = 0, buf.dp_len
+        while take > 0 and model:
+            step = min(take, model[0][1])
+            model[0][1] -= step
+            expect += step
+            take -= step
+            if model[0][1] == 0:
+                model.pop(0)
+        assert buf.payload_bytes == expect
+        assert shaper.queued_total == shaper.queued(1) == sum(m[1] for m in model)
 
 
 # --- dp_query ---
@@ -132,57 +117,129 @@ def test_dp_query_empirical_mean():
     assert abs(total / n - 1000) < 2.0
 
 
-# --- prepare_shaped_buffer ---
+# --- the shaped buffer ---
 
 
 def test_prepare_zero_length():
-    buf = prepare_shaped_buffer({}, 0)
-    assert buf.payload == ()
-    assert buf.dummy == 0
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-1e9))
+    shaper.enqueue(1, 100, 0)
+    buf = shaper.shaping_step(100)
+    assert (buf.dp_len, buf.payload, buf.dummy) == (0, (), 0)
+    assert shaper.queued(1) == 100
 
 
 def test_prepare_pads_with_dummy():
-    q = BufferingQueue()
-    q.enqueue(7, 100, 0)
-    buf = prepare_shaped_buffer({7: q}, 300)
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise(200.0))
+    shaper.enqueue(7, 100, 0)
+    buf = shaper.shaping_step(100)
     assert buf.payload_bytes == 100
     assert buf.dummy == 200
     assert buf.dp_len == 300
 
 
-def test_prepare_oldest_first_across_flows():
-    qa, qb = BufferingQueue(), BufferingQueue()
-    qa.enqueue(1, 100, 1)
-    qb.enqueue(2, 100, 0)
-    buf = prepare_shaped_buffer({1: qa, 2: qb}, 150)
-    assert [(s.flow_id, s.length) for s in buf.payload] == [(2, 100), (1, 50)]
+def test_shaped_buffer_rejects_inconsistent_split():
+    with pytest.raises(ValueError):
+        ShapedBuffer(1, 300, (PayloadSpan(1, 100, 0),), 100, 0)
+    with pytest.raises(ValueError):
+        ShapedBuffer(1, 50, (PayloadSpan(1, 100, 0),), -50, 0)
 
 
-def test_oldest_first_matches_merge_oracle():
-    rng = random.Random(123)
-    for _ in range(50):
-        queues = {}
-        spans = []
-        t = 0
-        for flow in range(1, rng.randint(2, 5)):
-            queues[flow] = BufferingQueue()
-            for _ in range(rng.randint(0, 6)):
-                t += rng.randint(0, 5)
-                n = rng.randint(1, 100)
-                queues[flow].enqueue(flow, n, t)
-                spans.append((t, flow, n))
-        budget = rng.randint(0, 600)
-        got = [(s.flow_id, s.length) for s in oldest_first(queues, budget)]
-        # reference: stable sort by (time, flow), then cut at the budget
-        expect = []
-        left = budget
-        for t_, flow, n in sorted(spans, key=lambda x: (x[0], x[1])):
-            if left == 0:
-                break
-            take = min(left, n)
-            expect.append((flow, take))
-            left -= take
-        assert got == expect
+def test_interleaved_flows_leave_in_arrival_order():
+    # Flow 1 at t = 0 and 10, flow 2 at t = 5, budget 200: flow 2's span is
+    # older than flow 1's second one, so it leaves first.
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-100.0))
+    shaper.enqueue(1, 100, 0)
+    shaper.enqueue(2, 100, 5)
+    shaper.enqueue(1, 100, 10)
+    buf = shaper.shaping_step(100)
+    assert buf.dp_len == 200
+    assert [tuple(s) for s in buf.payload] == [(1, 100, 0), (2, 100, 5)]
+    assert (shaper.queued(1), shaper.queued(2), shaper.queued_total) == (100, 0, 100)
+
+
+def test_equal_times_leave_in_enqueue_order():
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-150.0))
+    shaper.enqueue(3, 100, 0)
+    shaper.enqueue(1, 100, 0)
+    shaper.enqueue(2, 100, 0)
+    buf = shaper.shaping_step(100)
+    assert [tuple(s) for s in buf.payload] == [(3, 100, 0), (1, 50, 0)]
+
+
+def test_discard_flow_removes_exactly_that_flow():
+    rng = random.Random(5)
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    spans = []
+    for t in range(0, 90, 3):
+        flow, n = rng.randint(1, 4), rng.randint(1, 1000)
+        shaper.enqueue(flow, n, t)
+        spans.append((t, flow, n))
+    before = {f: shaper.queued(f) for f in range(1, 5)}
+    assert shaper.discard_flow(2) == before[2] == sum(n for _, f, n in spans if f == 2)
+    assert shaper.discard_flow(2) == 0
+    assert shaper.queued(2) == 0
+    assert all(shaper.queued(f) == before[f] for f in (1, 3, 4))
+    assert shaper.queued_total == sum(before.values()) - before[2]
+    assert shaper.bytes_in == shaper.bytes_dropped + shaper.queued_total
+    buf = step_with_noise(shaper, 100, 1e9)
+    assert [tuple(s) for s in buf.payload] == [(f, n, t) for t, f, n in spans if f != 2]
+
+
+class FifoModel:
+    """The shaper's contract as a plain list of [enqueue_time, flow, remaining]."""
+
+    def __init__(self, params: DpParams):
+        self.params = params
+        self.spans: list[list[int]] = []
+
+    def step(self, now: int, noise: float):
+        deadline = now - self.params.window
+        flushed = [tuple(s) for s in self.spans if s[0] < deadline]
+        self.spans = [s for s in self.spans if s[0] >= deadline]
+        q_len = sum(s[2] for s in self.spans)
+        dp_len = dp_query(q_len, self.params, 1.0, ForcedNoise(noise))
+        payload, budget = [], dp_len
+        while budget and self.spans:
+            take = min(budget, self.spans[0][2])
+            payload.append((self.spans[0][1], take, self.spans[0][0]))
+            self.spans[0][2] -= take
+            budget -= take
+            if self.spans[0][2] == 0:
+                self.spans.pop(0)
+        flushed = tuple((f, n, t) for t, f, n in flushed)
+        return dp_len, tuple(payload), budget, sum(s[1] for s in flushed), flushed, q_len
+
+    def queued(self, flow: int) -> int:
+        return sum(s[2] for s in self.spans if s[1] == flow)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_shaper_matches_list_model(seed):
+    rng = random.Random(seed)
+    params = DpParams(1.0, 1e-6, 500.0, interval=100, window=rng.choice([100, 300, 700]),
+                      cutoff=rng.choice([400, 2_000, math.inf]))
+    flows = list(range(rng.randint(2, 6)))
+    shaper = Shaper(params, 0.0 if seed % 4 == 0 else 1.0, ForcedNoise())
+    model = FifoModel(params)
+    for k in range(1, 150):
+        now = k * 100
+        if rng.random() < 0.7:  # otherwise an idle tick
+            times = sorted(rng.randint(now - 100, now - 1) for _ in range(rng.randint(1, 5)))
+            for t in times:
+                flow, n = rng.choice(flows), rng.randint(1, 400)
+                shaper.enqueue(flow, n, t)
+                model.spans.append([t, flow, n])
+        noise = 0.0 if shaper.sigma == 0 else rng.choice([-1e9, 1e9, rng.gauss(0, 300)])
+        shaper.rng = ForcedNoise(noise)
+        buf = shaper.shaping_step(now)
+        want = model.step(now, noise)
+        got = (buf.dp_len, tuple(map(tuple, buf.payload)), buf.dummy, buf.drops,
+               tuple(map(tuple, buf.flushed)), buf.queue_len)
+        assert got == want
+        assert buf.dp_len <= params.cutoff
+        assert all(shaper.queued(f) == model.queued(f) for f in flows)
+        assert sum(shaper.queued(f) for f in flows) == shaper.queued_total
+        assert shaper.bytes_in == shaper.bytes_out + shaper.bytes_dropped + shaper.queued_total
 
 
 # --- shaping_step ---

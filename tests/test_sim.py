@@ -1,5 +1,6 @@
 """Trace-driven simulator tests."""
 
+import dataclasses
 import math
 import random
 
@@ -37,6 +38,7 @@ def test_empty_stream_reports_absolute_dummy():
     assert result.payload_in == 0
     assert result.dummy_bytes > 0
     assert all(b.payload == () for b in result.shaped)
+    assert result.summary()["latency_ns"] is None
 
 
 def test_empty_stream_without_horizon_rejected():
@@ -144,6 +146,31 @@ def test_sweep_single_value_matches_simulate():
     rows = overhead_sweep([stream], cfg, "sigma", [4_000.0])
     direct = simulate([stream], SimConfig(PARAMS, seed=9 * 1_000_003, sigma=4_000.0))
     assert rows[0].result.summary() == direct.summary()
+
+
+@pytest.mark.parametrize("axis,value,direct", [
+    ("epsilon", 2.0, {"params": DpParams(2.0, 1e-6, 50_000.0, interval=10 * MS, window=100 * MS)}),
+    ("cutoff", 3_000.0, {"per_flow_cutoff": 3_000.0}),
+])
+def test_sweep_rows_match_simulate(axis, value, direct):
+    stream = constant_rate_stream()
+    rows = overhead_sweep([stream], SimConfig(PARAMS, seed=4), axis, [value])
+    expect = simulate([stream], dataclasses.replace(SimConfig(PARAMS, seed=4 * 1_000_003), **direct))
+    assert rows[0].result.summary() == expect.summary()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda: SimConfig(PARAMS, flows=0),
+    lambda: SimConfig(PARAMS, cutoff_mode="shared"),
+    lambda: SimConfig(PARAMS, per_flow_cutoff=0),
+    lambda: SimConfig(PARAMS, sigma=-1.0),
+    lambda: simulate([], SimConfig(PARAMS)),
+    lambda: overhead_sweep([constant_rate_stream()], SimConfig(PARAMS), "sigma", []),
+    lambda: overhead_sweep([constant_rate_stream()], SimConfig(PARAMS), "flows", [0]),
+])
+def test_bad_config_rejected(bad):
+    with pytest.raises(ConfigError):
+        bad()
 
 
 def test_sweep_unknown_axis():

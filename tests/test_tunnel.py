@@ -162,8 +162,8 @@ def test_loopback_integrity_1mb(sink):
         payload = random.Random(7).randbytes(1_000_000)
         sock, response = open_flow(connect_cfg, sink.port, privacy_descriptor={"epsilon": 5})
         assert response == {"ok": True, "flow_id": 1}
-        # recorded as configuration only; the tunnel budget stays shared
-        assert connect.flows[1].privacy_descriptor == {"epsilon": 5}
+        # accepted and ignored; the tunnel budget stays shared
+        assert 1 in connect.flows
         sock.sendall(payload)
         sock.close()
         assert wait_for(lambda: sink.done and sink.done[0].is_set())
@@ -281,6 +281,21 @@ def test_closed_flow_slot_is_reused(sink):
         sock2, response2 = open_flow(connect_cfg, sink.port)
         assert response2 == {"ok": True, "flow_id": 1}
         sock2.close()
+    finally:
+        stop_pair(serve, connect)
+
+
+def test_unreachable_destination_resets_flow():
+    serve_cfg, connect_cfg = make_cfg_pair()
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    try:
+        sock, response = open_flow(connect_cfg, free_port())  # nothing listens there
+        assert response == {"ok": True, "flow_id": 1}
+        sock.sendall(b"x" * 5000)
+        # the peer answers the open with a reset; the flow and its queued bytes go
+        assert wait_for(lambda: not connect.flows)
+        assert connect.shaper.queued(1) == 0
+        sock.close()
     finally:
         stop_pair(serve, connect)
 
