@@ -37,7 +37,8 @@ class ShapedBuffer:
     ``flushed`` holds the spans the TTL expired this interval (``drops``
     bytes in total). ``queue_len`` is the exact queued total the noisy query
     measured (after TTL expiry, before dequeue); kept for accounting and
-    tests only, it never reaches the wire.
+    tests only, it never reaches the wire. ``payload_bytes`` totals the
+    spans; the shaper passes it, a buffer built without it sums them once.
     """
 
     interval_index: int
@@ -47,16 +48,15 @@ class ShapedBuffer:
     drops: int
     flushed: tuple[PayloadSpan, ...] = ()
     queue_len: int = 0
+    payload_bytes: int | None = None
 
     def __post_init__(self):
+        if self.payload_bytes is None:
+            object.__setattr__(self, "payload_bytes", sum(s.length for s in self.payload))
         if self.payload_bytes + self.dummy != self.dp_len:
             raise ValueError("payload + dummy must equal dp_len")
         if self.dummy < 0:
             raise ValueError("dummy must be >= 0")
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(s.length for s in self.payload)
 
 
 def dp_query(q_len: int, params: DpParams, sigma: float, rng: random.Random) -> int:
@@ -160,4 +160,6 @@ class Shaper:
         taken = dp_len - budget
         self.queued_total -= taken
         self.bytes_out += taken
-        return ShapedBuffer(index, dp_len, tuple(payload), budget, drops, tuple(flushed), q_len)
+        return ShapedBuffer(
+            index, dp_len, tuple(payload), budget, drops, tuple(flushed), q_len, taken
+        )

@@ -2,12 +2,13 @@
 
 Three execution contexts per endpoint share state through narrow channels:
 application socket threads produce byte chunks into bounded per-flow handoff
-queues; the prepare thread owns the shaping state, drains the handoffs at
-each interval boundary, and emits sealed records to the transmit worker
-through a single handoff queue; the receive worker owns the inbound wire
-stream and feeds per-flow delivery queues. Control messages (flow open/close,
-session bye) ride the shaped control stream, so no wire byte leaves outside a
-shaped interval.
+queues; the prepare thread owns the shaping state, drains the handoffs while
+it waits for each interval boundary (so a handoff queue is a burst buffer,
+not a per-tick rate cap), runs step, frames, encode and seal at the boundary
+and hands the sealed tick to the transmit worker, which writes it with one
+call; the receive worker owns the inbound wire stream and feeds per-flow
+delivery queues. Control messages (flow open/close, session bye) ride the
+shaped control stream, so no wire byte leaves outside a shaped interval.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ NS = 1_000_000_000
 CONTROL_FLOW = 0
 APP_CHUNK = 16384
 HANDOFF_CHUNKS = 64
+DRAIN_EVERY = 0.002  # seconds between handoff drains while a tick waits
 RX_CHUNKS = 64
 DELIVER_TIMEOUT = 5.0
 _EOF = object()
@@ -68,14 +70,24 @@ class FlowEntry:
     writer: threading.Thread | None = None
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise SessionError("peer closed the tunnel connection")
-        buf += chunk
-    return bytes(buf)
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        pos = 0
+        while pos < n:
+            got = sock.recv_into(view[pos:])
+            if not got:
+                raise SessionError("peer closed the tunnel connection")
+            pos += got
+    return buf
+
+
+def _send_pieces(sock: socket.socket, pieces: tuple[bytes, ...]) -> None:
+    sent = sock.sendmsg(pieces)
+    for piece in pieces:  # a blocking sendmsg stops short only on a signal
+        if sent < len(piece):
+            sock.sendall(memoryview(piece)[sent:])
+        sent = max(0, sent - len(piece))
 
 
 def _read_line(sock: socket.socket, limit: int = 65536) -> bytes:
@@ -149,7 +161,8 @@ class TunnelEndpoint:
     def _spawn(self, target, name) -> threading.Thread:
         t = threading.Thread(target=target, name=f"{self.role}-{name}", daemon=True)
         t.start()
-        self._threads.append(t)
+        with self._flows_lock:  # flow threads spawn flow threads
+            self._threads = [u for u in self._threads if u.is_alive()] + [t]
         return t
 
     def establish(self) -> None:
@@ -183,7 +196,9 @@ class TunnelEndpoint:
                 c2s, s2c = derive_direction_keys(self.cfg.psk, salt)
                 tx_key, rx_key = (c2s, s2c) if self.role == "connect" else (s2c, c2s)
             self._codec_tx = RecordCodec(tx_key, self.cfg.mtu, self.cfg.flows_max)
-            self._codec_rx = RecordCodec(rx_key, self.cfg.mtu, self.cfg.flows_max)
+            self._codec_rx = RecordCodec(
+                rx_key, self.cfg.mtu, self.cfg.flows_max, self.cfg.params.cutoff
+            )
         except Exception:
             sock.close()
             raise
@@ -338,6 +353,11 @@ class TunnelEndpoint:
                 return
             time.sleep(min(remaining, 0.05))
 
+    def _drain_until(self, deadline: float, arrival: int):
+        while not self._stop.is_set() and time.monotonic() < deadline:
+            self._drain_handoffs(arrival)
+            time.sleep(max(0.0, min(deadline - time.monotonic(), DRAIN_EVERY)))
+
     def _prepare_loop(self):
         cfg = self.cfg
         t_sec = cfg.params.interval / NS
@@ -351,35 +371,34 @@ class TunnelEndpoint:
             while not self._stop.is_set():
                 k += 1
                 deadline = epoch + k * t_sec
-                self._sleep_until(deadline)
+                now_ns = k * cfg.params.interval
+                # Bytes handed over while the tick waits are stamped one
+                # interval before its boundary, so they precede its control.
+                self._drain_until(deadline, now_ns - cfg.params.interval)
                 if self._stop.is_set():
                     break
-                now_ns = k * cfg.params.interval
 
                 if self._closing.is_set() and not bye_sent:
                     self._initiate_closes()
                     self._send_control({"op": "bye"})
                     bye_sent = True
 
-                # Data is stamped a tick earlier than control, so it goes
-                # first to keep the FIFO's enqueue times non-decreasing.
-                self._drain_handoffs(now_ns)
                 self._drain_control(now_ns)
                 buf = self.shaper.shaping_step(now_ns)
                 self._apply_flushes(buf)
-                frames = self._build_tick_frames(buf)
-                block = encode_block(frames, buf.dp_len, cfg.flows_max)
-                records = self._codec_tx.seal_tick(k, buf.dp_len, block)
+                block = encode_block(self._build_tick_frames(buf), buf.dp_len, cfg.flows_max)
+                wire_tick = self._codec_tx.seal(k, buf.dp_len, block)
+                del block  # not kept alive through the next tick's build
 
                 if time.monotonic() - deadline > t_prep_sec:
                     self.stats["prep_overruns"] += 1
                 self._sleep_until(deadline + t_prep_sec)
                 self.handoff_offsets.append(time.monotonic() - deadline)
-                self._tx_queue.put(records)
+                self._tx_queue.put(wire_tick)
                 if time.monotonic() - deadline > t_prep_sec + t_enq_sec:
                     self.stats["enq_overruns"] += 1
 
-                wire = sum(len(r) for r in records)
+                wire = sum(map(len, wire_tick))
                 self.stats["ticks"] += 1
                 self.stats["wire_bytes"] += wire
                 self.tick_stats.append((k, buf.dp_len, buf.payload_bytes, buf.dummy, wire))
@@ -422,10 +441,9 @@ class TunnelEndpoint:
             self._control_tx += message
             self.shaper.enqueue(CONTROL_FLOW, len(message), now_ns)
 
-    def _drain_handoffs(self, now_ns: int):
+    def _drain_handoffs(self, arrival: int):
         with self._flows_lock:
             entries = list(self.flows.values())
-        arrival = max(0, now_ns - self.cfg.params.interval)
         for entry in entries:
             queue_size = self.shaper.queued(entry.flow_id)
             while True:
@@ -482,7 +500,8 @@ class TunnelEndpoint:
                 entry = self.flows.get(flow_id)
                 if entry is None:
                     continue
-                body = bytes(entry.buffer[:total])
+                with memoryview(entry.buffer) as view:
+                    body = bytes(view[:total])
                 del entry.buffer[:total]
                 data.append((flow_id, entry.tx_offset, body))
                 entry.tx_offset += total
@@ -539,11 +558,10 @@ class TunnelEndpoint:
     def _tx_loop(self):
         try:
             while True:
-                records = self._tx_queue.get()
-                if records is None:
+                wire_tick = self._tx_queue.get()
+                if wire_tick is None:
                     break
-                for record in records:
-                    self._wire_sock.sendall(record)
+                _send_pieces(self._wire_sock, wire_tick)
         except OSError as exc:
             log.warning("transmit worker stopped: %s", exc)
             self.finished.set()

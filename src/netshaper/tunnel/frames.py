@@ -44,9 +44,6 @@ class Frame:
     def length(self) -> int:
         return len(self.body)
 
-    def encode(self) -> bytes:
-        return _HEADER.pack(self.kind, self.flow_id, self.offset, len(self.body)) + self.body
-
 
 def max_frames(dp_len: int, flows_max: int) -> int:
     """Most frames a tick of dp_len bytes can carry.
@@ -80,11 +77,15 @@ def encode_block(frames: list[Frame], dp_len: int, flows_max: int) -> bytes:
             raise FrameError("zero-length data/control frame")
         if f.kind == KIND_DUMMY and (f.length == 0 or f.flow_id != RESERVED_FLOW_ID):
             raise FrameError("dummy frames must carry bytes on the reserved flow id")
-    encoded = b"".join(f.encode() for f in frames)
+    parts = []
+    for f in frames:
+        parts += (_HEADER.pack(f.kind, f.flow_id, f.offset, f.length), f.body)
+    encoded = sum(map(len, parts))
     target = block_len(dp_len, flows_max)
-    if len(encoded) > target:
-        raise FrameError(f"encoded frames ({len(encoded)}) exceed block length {target}")
-    return encoded + bytes([PAD_BYTE]) * (target - len(encoded))
+    if encoded > target:
+        raise FrameError(f"encoded frames ({encoded}) exceed block length {target}")
+    parts.append(bytes([PAD_BYTE]) * (target - encoded))
+    return b"".join(parts)  # the one copy of each body
 
 
 def decode_block(block: bytes) -> list[Frame]:

@@ -1,20 +1,22 @@
-"""Sealed wire records and the tick read/write path.
+"""Sealed wire ticks and the tick read/write path.
 
-Wire record: [4-byte magic "NSH1"][8-byte interval index][4-byte dp_len]
-[AEAD-sealed frame-block chunk], integers big-endian. A tick's frame block is
-split across as many records as the MTU requires, never across ticks; chunk
-sizes are a fixed function of dp_len, so the receiver can delimit the stream
-from the headers alone and total wire bytes per tick depend only on dp_len.
+Wire tick: [4-byte magic "NSH1"][8-byte interval index][4-byte dp_len]
+[AEAD-sealed frame block], integers big-endian. The block's length is a fixed
+function of dp_len, so the header alone tells the receiver how many bytes the
+tick occupies and total wire bytes per tick depend only on dp_len. Counted
+in records, a tick is cut at every MTU bytes; the endpoint writes it whole.
 
-Records are sealed with AES-256-GCM under per-direction keys; nonces are the
-per-direction record counter. A null cipher passes chunks through unsealed
-for debugging.
+A tick is sealed with one AES-256-GCM call under per-direction keys: one tag
+per tick, the nonce is the per-direction tick counter and the cleartext
+header is the associated data, so the interval and dp_len are bound to the
+block. A null cipher passes blocks through unsealed for debugging.
 """
 
 from __future__ import annotations
 
 import hmac
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ MAGIC = b"NSH1"
 _RECORD_HEADER = struct.Struct(">4sQI")
 RECORD_HEADER_LEN = _RECORD_HEADER.size  # 16
 GCM_TAG_LEN = 16
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 CIPHER_AESGCM = "aesgcm"
 CIPHER_NULL = "null"
@@ -62,85 +64,77 @@ def derive_direction_keys(psk: bytes, salt: bytes) -> tuple[bytes, bytes]:
 
 
 class RecordCodec:
-    """Seals and opens one direction's records; owns that direction's counter."""
+    """Seals and opens one direction's ticks; owns that direction's tick counter.
 
-    def __init__(self, key: bytes | None, mtu: int, flows_max: int):
+    ``max_dp_len`` bounds the dp_len a received header may announce, so a
+    forged header cannot make the reader allocate more than a tick can hold.
+    """
+
+    def __init__(self, key: bytes | None, mtu: int, flows_max: int, max_dp_len: float = math.inf):
         self.tag_len = GCM_TAG_LEN if key is not None else 0
-        self.capacity = mtu - RECORD_HEADER_LEN - self.tag_len
-        if self.capacity < 1:
-            raise SessionError(f"mtu {mtu} leaves no room for record bodies")
+        if mtu < RECORD_HEADER_LEN + self.tag_len:
+            raise SessionError(f"mtu {mtu} cannot hold an empty tick")
         self._aead = AESGCM(key) if key is not None else None
         self.mtu = mtu
         self.flows_max = flows_max
+        self.max_dp_len = max_dp_len
         self.seq = 0
-
-    def chunk_sizes(self, dp_len: int) -> list[int]:
-        """Plaintext chunk lengths for a tick; at least one (possibly empty) record."""
-        total = block_len(dp_len, self.flows_max)
-        if total == 0:
-            return [0]
-        sizes = [self.capacity] * (total // self.capacity)
-        if total % self.capacity:
-            sizes.append(total % self.capacity)
-        return sizes
 
     def wire_bytes_for_tick(self, dp_len: int) -> int:
         """Exact bytes a tick of dp_len puts on the wire; independent of content."""
-        chunks = self.chunk_sizes(dp_len)
-        return sum(chunks) + len(chunks) * (RECORD_HEADER_LEN + self.tag_len)
+        return RECORD_HEADER_LEN + block_len(dp_len, self.flows_max) + self.tag_len
 
-    def _nonce(self, seq: int) -> bytes:
-        return seq.to_bytes(12, "big")
+    def chunk_sizes(self, dp_len: int) -> list[int]:
+        """Record lengths of a tick on the wire: MTU-sized cuts, at least one."""
+        full, rest = divmod(self.wire_bytes_for_tick(dp_len), self.mtu)
+        return [self.mtu] * full + ([rest] if rest else [])
 
-    def seal_tick(self, interval: int, dp_len: int, block: bytes) -> list[bytes]:
+    def _next_nonce(self) -> bytes:
+        """The tick counter as a 96-bit nonce, then advance it."""
+        self.seq += 1
+        return (self.seq - 1).to_bytes(12, "big")
+
+    def seal(self, interval: int, dp_len: int, block: bytes) -> tuple[bytes, bytes]:
+        """One tick's wire bytes as two pieces: the header, then the block sealed under it.
+
+        Kept apart so a multi-megabyte tick is not copied once more to join them.
+        """
         if len(block) != block_len(dp_len, self.flows_max):
             raise RecordError(f"block length {len(block)} does not match dp_len {dp_len}")
-        records = []
-        pos = 0
-        for size in self.chunk_sizes(dp_len):
-            chunk = block[pos : pos + size]
-            pos += size
-            header = _RECORD_HEADER.pack(MAGIC, interval, dp_len)
-            if self._aead is None:
-                records.append(header + chunk)
-            else:
-                records.append(header + self._aead.encrypt(self._nonce(self.seq), chunk, header))
-            self.seq += 1
-        return records
+        header = _RECORD_HEADER.pack(MAGIC, interval, dp_len)
+        if self._aead is None:
+            return header, block
+        return header, self._aead.encrypt(self._next_nonce(), block, header)
+
+    def seal_tick(self, interval: int, dp_len: int, block: bytes) -> list[bytes | memoryview]:
+        """``seal`` cut into records of at most MTU bytes."""
+        header, sealed = self.seal(interval, dp_len, block)
+        first = self.mtu - RECORD_HEADER_LEN
+        view = memoryview(sealed)
+        rest = [view[i : i + self.mtu] for i in range(first, len(sealed), self.mtu)]
+        return [header + sealed[:first], *rest]
 
     def read_tick(self, recv_exact: Callable[[int], bytes]) -> tuple[int, int, bytes | None]:
-        """Read and open all records of the next tick from a byte stream.
+        """Read and open the next tick from a byte stream.
 
-        Record boundaries derive from the cleartext header, so a record that
-        fails authentication is dropped without losing stream sync: the tick's
-        remaining records are still consumed and the block comes back as None
-        for the caller to count.
+        The cleartext header fixes the tick's length, so a tick that fails
+        authentication is dropped without losing stream sync: its bytes are
+        still consumed and the block comes back as None for the caller to
+        count.
         """
-        block = bytearray()
-        expected: list[int] | None = None
-        interval = dp_len = 0
-        damaged = False
-        while expected is None or expected:
-            header = recv_exact(RECORD_HEADER_LEN)
-            magic, rec_interval, rec_dp_len = _RECORD_HEADER.unpack(header)
-            if magic != MAGIC:
-                raise RecordError("bad record magic")
-            if expected is None:
-                interval, dp_len = rec_interval, rec_dp_len
-                expected = self.chunk_sizes(dp_len)
-            elif (rec_interval, rec_dp_len) != (interval, dp_len):
-                raise RecordError("record header changed mid-tick")
-            size = expected.pop(0)
-            ciphertext = recv_exact(size + self.tag_len)
-            if self._aead is None:
-                block += ciphertext
-            else:
-                try:
-                    block += self._aead.decrypt(self._nonce(self.seq), ciphertext, header)
-                except InvalidTag:
-                    damaged = True
-            self.seq += 1
-        return interval, dp_len, None if damaged else bytes(block)
+        header = recv_exact(RECORD_HEADER_LEN)
+        magic, interval, dp_len = _RECORD_HEADER.unpack(header)
+        if magic != MAGIC:
+            raise RecordError("bad record magic")
+        if dp_len > self.max_dp_len:
+            raise RecordError(f"dp_len {dp_len} above the cutoff")
+        sealed = recv_exact(self.wire_bytes_for_tick(dp_len) - RECORD_HEADER_LEN)
+        if self._aead is None:
+            return interval, dp_len, sealed
+        try:
+            return interval, dp_len, self._aead.decrypt(self._next_nonce(), sealed, header)
+        except InvalidTag:
+            return interval, dp_len, None
 
 
 # --- establishment handshake ---
@@ -187,9 +181,13 @@ def read_hello(recv_exact: Callable[[int], bytes], psk: bytes | None) -> Hello:
         payload = raw
     try:
         body = json.loads(payload.decode())
-        return Hello(body["role"], bytes.fromhex(body["nonce"]), body["params"])
+        hello = Hello(body["role"], bytes.fromhex(body["nonce"]), body["params"])
+        version = body["version"]
     except (ValueError, KeyError) as exc:
         raise SessionError(f"malformed hello: {exc}") from exc
+    if version != PROTOCOL_VERSION:
+        raise ParameterMismatch(f"peer speaks protocol version {version}, not {PROTOCOL_VERSION}")
+    return hello
 
 
 def check_params_match(mine: dict, theirs: dict) -> None:

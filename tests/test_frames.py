@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from netshaper.errors import AuthError, ConfigError, ParameterMismatch
+from netshaper.errors import AuthError, ConfigError, ParameterMismatch, SessionError
 from netshaper.tunnel.config import parse_config
 from netshaper.tunnel.frames import (
     FRAME_HEADER_LEN,
@@ -197,6 +197,21 @@ def test_bad_magic_is_fatal():
     rx = RecordCodec(KEY, mtu=256, flows_max=4)
     with pytest.raises(RecordError):
         rx.read_tick(feeder(b"XXXX" + bytes(200)))
+
+
+def test_header_above_the_cutoff_is_fatal():
+    tx = RecordCodec(KEY, mtu=256, flows_max=4)
+    rx = RecordCodec(KEY, mtu=256, flows_max=4, max_dp_len=9)
+    block = encode_block(build_frames([], None, 10), 10, 4)
+    with pytest.raises(RecordError, match="above the cutoff"):
+        rx.read_tick(feeder(b"".join(tx.seal_tick(1, 10, block))))
+
+
+def test_codec_rejects_bad_sizes():
+    with pytest.raises(SessionError, match="mtu"):
+        RecordCodec(KEY, mtu=31, flows_max=4)
+    with pytest.raises(RecordError, match="block length"):
+        RecordCodec(KEY, mtu=256, flows_max=4).seal(1, 10, bytes(10))
 
 
 def test_null_cipher_round_trip():

@@ -1,4 +1,6 @@
-"""Hypothesis property tests for the shaper FIFO and the frame codec."""
+"""Hypothesis property tests for the shaper FIFO, the frame codec and the record layer."""
+
+import io
 
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,9 @@ from _support import ForcedNoise
 from netshaper.dpcore import DpParams
 from netshaper.shaping import Shaper
 from netshaper.tunnel.frames import KIND_DATA, build_frames, decode_block, encode_block
+from netshaper.tunnel.records import RecordCodec
+
+KEY = bytes(range(32))
 
 PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500)
 
@@ -74,3 +79,27 @@ def test_frame_block_round_trip(parts):
         (flow, off): body for flow, off, body in data
     }
     assert sum(f.length for f in decoded) == dp_len
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 3_000_000), st.integers(64, 9000), st.integers(1, 64), st.data())
+def test_records_fit_the_mtu_and_a_flipped_byte_costs_one_tick(dp_len, mtu, flows_max, data):
+    tx = RecordCodec(KEY, mtu, flows_max)
+    rx = RecordCodec(KEY, mtu, flows_max)
+    block = encode_block(build_frames([], None, dp_len), dp_len, flows_max)
+    records = tx.seal_tick(7, dp_len, block)
+    assert all(0 < len(r) <= mtu for r in records)
+    assert sum(len(r) for r in records) == rx.wire_bytes_for_tick(dp_len)
+    assert [len(r) for r in records] == rx.chunk_sizes(dp_len)
+
+    # Any byte after the magic, bar the dp_len field that frames the stream:
+    # the interval index is the AEAD's associated data, the rest is sealed.
+    wire = bytearray(b"".join(records))
+    pos = data.draw(st.integers(4, len(wire) - 1).filter(lambda p: not 12 <= p < 16))
+    wire[pos] ^= data.draw(st.integers(1, 255))
+    next_block = encode_block(build_frames([(1, 0, b"next")], None, 0), 4, flows_max)
+    stream = io.BytesIO(bytes(wire) + b"".join(tx.seal_tick(8, 4, next_block)))
+    interval, got_len, got_block = rx.read_tick(stream.read)
+    assert (got_len, got_block) == (dp_len, None)
+    assert interval == 7 or pos < 12
+    assert rx.read_tick(stream.read) == (8, 4, next_block)

@@ -11,8 +11,9 @@ import pytest
 from netshaper.dpcore import DpParams
 from netshaper.errors import AuthError, ParameterMismatch, SessionError
 from netshaper.tunnel.config import TunnelConfig
-from netshaper.tunnel.endpoint import TunnelEndpoint
-from netshaper.tunnel.records import RecordCodec
+from netshaper.tunnel import records
+from netshaper.tunnel.endpoint import TunnelEndpoint, _send_pieces
+from netshaper.tunnel.records import Hello, RecordCodec
 
 MS = 1_000_000
 PSK = bytes(range(32))
@@ -248,6 +249,101 @@ def test_auth_failure_rejected():
     assert isinstance(errors.get("serve"), AuthError)
     serve.stop()
     connect.stop()
+
+
+def test_old_protocol_version_rejected(monkeypatch):
+    serve_cfg, _ = make_cfg_pair()
+    with monkeypatch.context() as m:
+        m.setattr(records, "PROTOCOL_VERSION", 1)
+        old_hello = Hello("connect", bytes(16), serve_cfg.wire_params()).encode(PSK)
+    serve = TunnelEndpoint(serve_cfg, "serve")
+    errors = {}
+
+    def serve_establish():
+        try:
+            serve.establish()
+        except SessionError as exc:
+            errors["serve"] = exc
+
+    thread = threading.Thread(target=serve_establish, daemon=True)
+    thread.start()
+    socks = []
+
+    def connected():
+        try:
+            socks.append(socket.create_connection(serve_cfg.listen_addr, timeout=10))
+        except ConnectionRefusedError:
+            return False
+        return True
+
+    assert wait_for(connected)
+    socks[0].sendall(old_hello)
+    thread.join(10)
+    socks[0].close()
+    serve.stop()
+    assert isinstance(errors.get("serve"), ParameterMismatch)
+    assert "version 1" in str(errors["serve"])
+
+
+def test_one_flow_moves_more_than_its_handoff_queue_per_tick(sink):
+    # A flow's bytes per tick follow the cutoff: 3 MiB written at once cross
+    # in one or two ticks, not at the handoff queue's 64 x 16 KiB per tick.
+    # The long interval leaves the prepare thread ample time to drain the
+    # queue; the small noise leaves little backlog from one tick to the next.
+    params = make_params(interval_ms=300, window_ms=6000, delta_w=1000.0, cutoff=8_000_000.0)
+    serve_cfg, connect_cfg = make_cfg_pair(params=params, t_prep_ms=150, t_enq_ms=30)
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    payload = bytes(range(256)) * (3 << 12)
+    try:
+        sock, response = open_flow(connect_cfg, sink.port)
+        assert response["ok"]
+        sock.sendall(payload)
+        sock.close()
+        assert wait_for(lambda: sink.done and sink.done[0].is_set())
+    finally:
+        stop_pair(serve, connect)
+    assert bytes(sink.conns[0]) == payload
+    assert max(moved for _, _, moved, _, _ in connect.tick_stats) >= len(payload) // 2
+    reference = RecordCodec(PSK, mtu=connect_cfg.mtu, flows_max=connect_cfg.flows_max)
+    for _, dp_len, _, _, wire in connect.tick_stats:
+        assert wire == reference.wire_bytes_for_tick(dp_len)
+
+
+def test_threads_do_not_pile_up_over_many_flows(sink):
+    params = make_params(interval_ms=10, window_ms=1000)
+    serve_cfg, connect_cfg = make_cfg_pair(params=params, t_prep_ms=5, t_enq_ms=2)
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    try:
+        for _ in range(50):
+            sock, response = open_flow(connect_cfg, sink.port)
+            assert response["ok"]
+            sock.sendall(b"x")
+            sock.close()
+            assert wait_for(lambda: not connect.flows and not serve.flows)
+        # the endpoint's own loops, the last flow's register, reader and
+        # writer threads, and those of the flow before it, still finishing
+        assert len(connect._threads) <= 10
+        assert len(serve._threads) <= 10
+    finally:
+        stop_pair(serve, connect)
+
+
+@pytest.mark.parametrize("short", [3, 20])
+def test_send_pieces_finishes_a_short_sendmsg(short):
+    class ShortSocket:
+        def __init__(self):
+            self.wire = bytearray()
+
+        def sendmsg(self, pieces):
+            self.wire += b"".join(pieces)[:short]
+            return short
+
+        def sendall(self, data):
+            self.wire += data
+
+    sock = ShortSocket()
+    _send_pieces(sock, (b"h" * 16, b"sealed tick"))
+    assert sock.wire == b"h" * 16 + b"sealed tick"
 
 
 def test_flow_slots_exhausted_then_rejected(sink):
