@@ -20,7 +20,6 @@ _EXPORTS = {
         "PrivacyReport",
         "compose_to_dp",
         "gaussian_sigma",
-        "group_privacy",
         "rdp_epsilon_gaussian",
         "sample_gaussian",
         "sigma_for_budget",

@@ -190,17 +190,6 @@ def sigma_for_budget(
     return hi
 
 
-def group_privacy(epsilon: float, delta: float, k: int) -> tuple[float, float]:
-    """Degraded guarantee for streams at distance k times the neighboring bound."""
-    if not isinstance(k, int) or k < 1:
-        raise ConfigError(f"group factor must be a positive integer, got {k!r}")
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be > 0, got {epsilon}")
-    if not 0 < delta < 1:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    return k * epsilon, delta
-
-
 def tamaraw_gamma_bound(epsilon: float, n: int) -> float:
     """Upper bound on an optimal classifier's success rate over an n-trace corpus.
 

@@ -7,27 +7,37 @@ total queued length with a noisy query, then dequeue up to the noisy length
 from the head as payload and pad the rest with dummy bytes. Emission times
 are a function of configuration only, never of queue contents.
 
-Next to the FIFO the shaper keeps a running total and one byte counter per
-flow. The tunnel reads the counters for its per-flow cap and uses
-``discard_flow`` to tear a flow down.
+Expiry and dequeue only ever remove a prefix of the arrival order, so the
+FIFO is arrival-order lists with a cursor, cut by bisection and compacted as
+it goes. Next to the FIFO the shaper keeps a running total and one byte
+counter per flow. The tunnel reads the counters for its per-flow cap and
+uses ``discard_flow`` to tear a flow down.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from itertools import accumulate, compress
+from operator import gt
+from typing import NamedTuple, Sequence
 
 from .dpcore import DpParams, sample_gaussian
 from .errors import SchedulingError
+
+COMPACT_MIN = 1024  # spans; the consumed prefix is deleted only past this length
 
 
 class PayloadSpan(NamedTuple):
     flow_id: int
     length: int
     enqueue_time: int
+
+
+_span = partial(tuple.__new__, PayloadSpan)  # a PayloadSpan from one (flow, length, time) tuple
 
 
 @dataclass(frozen=True)
@@ -70,21 +80,30 @@ def dp_query(q_len: int, params: DpParams, sigma: float, rng: random.Random) -> 
 
 
 class Shaper:
-    """Single-owner shaping state: one FIFO with per-flow counters, plus the schedule.
+    """Single-owner shaping state: one cursor FIFO with per-flow counters, plus the schedule.
 
-    The FIFO holds immutable ``(enqueue_time, flow_id, remaining)`` tuples
-    with non-decreasing enqueue times; a byte enqueued at t survives through
-    exactly t + window. Exactly one execution context may call shaping_step;
-    producers hand bytes in through enqueue (or an external channel drained
-    by the owner) before the step runs. ``bytes_dropped`` counts bytes lost
-    to the TTL and bytes removed by ``discard_flow``.
+    The FIFO is four parallel lists in arrival order: enqueue time, flow,
+    bytes left, and the byte offset just past each span. Times do not
+    decrease; a byte enqueued at t survives through exactly t + window.
+    ``_head`` is the first span with bytes left, ``_gone`` the offset of the
+    first queued byte. After a step that leaves q spans queued, the lists
+    hold at most q + max(COMPACT_MIN, q) spans.
+
+    Exactly one execution context may call shaping_step; producers hand
+    bytes in through enqueue or extend (or an external channel drained by
+    the owner) before the step runs. ``bytes_dropped`` counts bytes lost to
+    the TTL and bytes removed by ``discard_flow``.
     """
 
     def __init__(self, params: DpParams, sigma: float, rng: random.Random):
         self.params = params
         self.sigma = sigma
         self.rng = rng
-        self._fifo: deque[tuple[int, int, int]] = deque()
+        self._times: list[int] = []
+        self._flows: list[int] = []
+        self._sizes: list[int] = []
+        self._ends: list[int] = []
+        self._head = self._gone = 0
         self._flow_bytes: dict[int, int] = {}
         self.queued_total = 0
         self.last_interval: int | None = None
@@ -97,24 +116,61 @@ class Shaper:
         return self._flow_bytes.get(flow_id, 0)
 
     def enqueue(self, flow_id: int, n: int, now: int) -> None:
-        if n < 1:
-            raise ValueError(f"enqueue size must be >= 1, got {n}")
-        fifo = self._fifo
-        if fifo and now < fifo[-1][0]:
+        self.extend([now], [flow_id], [n])
+
+    def extend(self, times: Sequence[int], flows: Sequence[int], sizes: Sequence[int]) -> None:
+        """Enqueue one span per (time, flow, size), in order; nothing if any is invalid."""
+        if not len(times) == len(flows) == len(sizes):
+            raise ValueError("times, flows and sizes must have equal lengths")
+        if not sizes:
+            return
+        if min(sizes) < 1:
+            raise ValueError(f"enqueue size must be >= 1, got {min(sizes)}")
+        queued = self._head < len(self._times)
+        if (queued and times[0] < self._times[-1]) or any(map(gt, times, times[1:])):
             raise ValueError("enqueue times must be non-decreasing")
-        fifo.append((now, flow_id, n))
-        self._flow_bytes[flow_id] = self._flow_bytes.get(flow_id, 0) + n
-        self.queued_total += n
-        self.bytes_in += n
+        base = self._ends[-1] if self._ends else self._gone
+        self._ends.extend(accumulate(sizes[1:], initial=base + sizes[0]))
+        self._times.extend(times)
+        self._flows.extend(flows)
+        self._sizes.extend(sizes)
+        flow_bytes = self._flow_bytes
+        for flow, n in zip(flows, sizes):
+            flow_bytes[flow] = flow_bytes.get(flow, 0) + n
+        self.queued_total += self._ends[-1] - base
+        self.bytes_in += self._ends[-1] - base
 
     def discard_flow(self, flow_id: int) -> int:
         """Remove every queued byte of ``flow_id``; return how many there were."""
         n = self._flow_bytes.pop(flow_id, 0)
         if n:
-            self._fifo = deque(span for span in self._fifo if span[1] != flow_id)
+            head = self._head
+            kept = [flow != flow_id for flow in self._flows[head:]]
+            columns = (self._times, self._flows, self._sizes)
+            self._times, self._flows, self._sizes = (list(compress(c[head:], kept)) for c in columns)
+            self._ends = list(accumulate(self._sizes, initial=self._gone))[1:]
+            self._head = 0
             self.queued_total -= n
             self.bytes_dropped += n
         return n
+
+    def _cut(self, stop: int) -> list[PayloadSpan]:
+        """Remove the queued bytes before offset ``stop``; return them as spans."""
+        head, gone, ends = self._head, self._gone, self._ends
+        last = bisect_left(ends, stop, head)  # the span that holds byte stop - 1
+        j = last + 1
+        spans = list(map(_span, zip(self._flows[head:j], self._sizes[head:j], self._times[head:j])))
+        rest = ends[last] - stop
+        if rest:  # the last span leaves in part
+            spans[-1] = spans[-1]._replace(length=spans[-1].length - rest)
+            self._sizes[last] = rest
+        flow_bytes = self._flow_bytes
+        for flow, n, _ in spans:
+            flow_bytes[flow] -= n
+        self._head = last if rest else j
+        self._gone = stop
+        self.queued_total -= stop - gone
+        return spans
 
     def shaping_step(self, now: int) -> ShapedBuffer:
         """Run one interval: flush expired, query with noise, dequeue, pad.
@@ -130,36 +186,23 @@ class Shaper:
             raise SchedulingError(f"interval {index} already shaped")
         self.last_interval = index
 
-        fifo = self._fifo
-        flow_bytes = self._flow_bytes
-        deadline = now - self.params.window
-        flushed = []
-        drops = 0
-        while fifo and fifo[0][0] < deadline:
-            t, flow, n = fifo.popleft()
-            flow_bytes[flow] -= n
-            drops += n
-            flushed.append(PayloadSpan(flow, n, t))
-        self.queued_total -= drops
+        gone = self._gone
+        expired = bisect_left(self._times, now - self.params.window, self._head)
+        flushed = self._cut(self._ends[expired - 1]) if expired > self._head else ()
+        drops = self._gone - gone
         self.bytes_dropped += drops
 
         q_len = self.queued_total
         dp_len = dp_query(q_len, self.params, self.sigma, self.rng)
-        payload = []
-        budget = dp_len
-        while budget and fifo:
-            t, flow, n = fifo[0]
-            if n <= budget:
-                fifo.popleft()
-            else:
-                fifo[0] = (t, flow, n - budget)
-                n = budget
-            flow_bytes[flow] -= n
-            budget -= n
-            payload.append(PayloadSpan(flow, n, t))
-        taken = dp_len - budget
-        self.queued_total -= taken
+        taken = min(dp_len, q_len)
+        payload = self._cut(self._gone + taken) if taken else ()
         self.bytes_out += taken
+
+        head = self._head
+        if head > COMPACT_MIN and 2 * head > len(self._times):
+            for column in (self._times, self._flows, self._sizes, self._ends):
+                del column[:head]
+            self._head = 0
         return ShapedBuffer(
-            index, dp_len, tuple(payload), budget, drops, tuple(flushed), q_len, taken
+            index, dp_len, tuple(payload), dp_len - taken, drops, tuple(flushed), q_len, taken
         )

@@ -9,10 +9,12 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -139,7 +141,23 @@ def simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     at the next boundary; the clock starts at the earliest packet timestamp
     rounded down to a boundary and runs one full window past the last packet
     so every byte is delivered or dropped.
+
+    The run makes no reference cycles, but its many objects would make the
+    cyclic collector walk all the caller holds again and again. So the call
+    pauses it, process-wide, then runs the young pass it put off (if the
+    caller had it on) and restores the caller's setting, also on a raise.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _simulate(streams, cfg)
+    finally:
+        if enabled:
+            gc.collect(0)  # charged to this call, not to the caller's next allocation
+            gc.enable()
+
+
+def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     if not streams:
         raise ConfigError("need at least one stream")
     flows = cfg.flows if cfg.flows is not None else len(streams)
@@ -151,38 +169,41 @@ def simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     )
     interval = params.interval
 
-    arrivals = sorted(
-        ((r.t, r.length, flow) for flow, s in enumerate(streams) for r in s.records),
-        key=lambda a: a[0],
-    )
-    if not arrivals and cfg.horizon is None:
+    # Arrivals as plain lists of the records' own ints: new ints would raise peak RSS.
+    lengths = [[r.length for r in s.records] for s in streams]
+    payload_in = dict(enumerate(map(sum, lengths)))
+    sizes = list(chain.from_iterable(lengths))
+    times = [r.t for s in streams for r in s.records]
+    arrival_flows = [flow for flow, column in enumerate(lengths) for _ in column]
+    sorted_times = np.asarray(times, dtype=np.int64)
+    if len(streams) > 1:  # each stream is sorted already; ties keep stream order
+        order = np.argsort(sorted_times, kind="stable")
+        sorted_times, order = sorted_times[order], order.tolist()
+        times, sizes, arrival_flows = (
+            [column[i] for i in order] for column in (times, sizes, arrival_flows)
+        )
+        del order  # one new int per packet, not needed in the tick loop
+    if not times and cfg.horizon is None:
         raise ConfigError("streams carry no packets; set an explicit horizon")
-    start = (arrivals[0][0] // interval) * interval if arrivals else 0
-    end = max(
-        arrivals[-1][0] + params.window if arrivals else start,
-        start + (cfg.horizon or 0),
-    )
+    start = (times[0] // interval) * interval if times else 0
+    end = max(times[-1] + params.window if times else start, start + (cfg.horizon or 0))
     ticks = (end - start + interval - 1) // interval + 1
+    # cuts[j - 1]: the arrivals before tick j's boundary
+    cuts = np.searchsorted(sorted_times, start + interval * np.arange(1, ticks + 1)).tolist()
 
     shaper = Shaper(params, sigma, random.Random(cfg.seed))
-    payload_in: dict[int, int] = {f: 0 for f in range(len(streams))}
     shaped: list[ShapedBuffer] = []
-    lat_lengths: list[int] = []
-    lat_waits: list[int] = []
-    next_arrival = 0
-
-    for j in range(1, ticks + 1):
-        now = start + j * interval
-        while next_arrival < len(arrivals) and arrivals[next_arrival][0] < now:
-            t, length, flow = arrivals[next_arrival]
-            shaper.enqueue(flow, length, t)
-            payload_in[flow] += length
-            next_arrival += 1
-        buf = shaper.shaping_step(now)
-        for span in buf.payload:
-            lat_lengths.append(span.length)
-            lat_waits.append(now - span.enqueue_time)
-        shaped.append(buf)
+    fed = 0
+    for j, cut in enumerate(cuts, 1):
+        if cut > fed:
+            shaper.extend(times[fed:cut], arrival_flows[fed:cut], sizes[fed:cut])
+            fed = cut
+        shaped.append(shaper.shaping_step(start + j * interval))
+    lat_lengths = [span.length for buf in shaped for span in buf.payload]
+    lat_waits = [
+        now - span.enqueue_time
+        for buf in shaped for now in [buf.interval_index * interval] for span in buf.payload
+    ]
 
     dummy_total = sum(b.dummy for b in shaped)
     in_total = sum(payload_in.values())

@@ -13,6 +13,7 @@ shaped control stream, so no wire byte leaves outside a shaped interval.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -231,6 +232,12 @@ class TunnelEndpoint:
         """Hard stop; joins worker threads."""
         self._stop.set()
         self.finished.set()
+        # The transmit worker ends on the sentinel or the shut socket, not a closed fd.
+        if self._wire_sock is not None:
+            with contextlib.suppress(OSError):
+                self._wire_sock.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(queue.Full):
+            self._tx_queue.put_nowait(None)
         for sock in (self._wire_sock, self._listen_sock, self._app_listen_sock):
             if sock is not None:
                 try:
@@ -563,7 +570,8 @@ class TunnelEndpoint:
                     break
                 _send_pieces(self._wire_sock, wire_tick)
         except OSError as exc:
-            log.warning("transmit worker stopped: %s", exc)
+            if not self._stop.is_set():
+                log.warning("transmit worker stopped: %s", exc)
             self.finished.set()
         finally:
             try:

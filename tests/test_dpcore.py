@@ -9,7 +9,6 @@ from netshaper.dpcore import (
     DpParams,
     compose_to_dp,
     gaussian_sigma,
-    group_privacy,
     rdp_epsilon_gaussian,
     sample_gaussian,
     sigma_for_budget,
@@ -168,6 +167,15 @@ def test_single_query_close_to_classical_calibration():
             assert total <= 1.2 * eps
 
 
+def test_compose_invariant_to_scaling_sensitivity_and_sigma():
+    # A stream at distance k*delta_w behaves like sensitivity k*delta_w: the
+    # composed loss is invariant to scaling (delta_w, sigma) together.
+    delta_w, eps, delta, n, k = 1.0, 0.4, 1e-6, 25, 3
+    sigma = gaussian_sigma(delta_w, eps, delta)
+    direct = compose_to_dp(k * delta_w, k * sigma, n, delta).epsilon_total
+    assert direct == pytest.approx(compose_to_dp(delta_w, sigma, n, delta).epsilon_total, rel=1e-12)
+
+
 # --- sigma_for_budget ---
 
 
@@ -196,37 +204,6 @@ def test_sigma_budget_domain_errors():
         sigma_for_budget(1.0, 0.0, 1e-6, 5)
     with pytest.raises(ConfigError):
         sigma_for_budget(1.0, 1.0, 1e-6, 0)
-
-
-# --- group_privacy ---
-
-
-def test_group_identity():
-    assert group_privacy(0.7, 1e-6, 1) == (0.7, 1e-6)
-
-
-def test_group_scaling():
-    assert group_privacy(0.5, 1e-6, 4) == (2.0, 1e-6)
-
-
-def test_group_domain_errors():
-    with pytest.raises(ConfigError):
-        group_privacy(0.5, 1e-6, 0)
-    with pytest.raises(ConfigError):
-        group_privacy(0.5, 1e-6, 2.5)  # type: ignore[arg-type]
-
-
-def test_group_then_compose_matches_scaled_sensitivity():
-    # A stream at distance k*delta_w behaves like sensitivity k*delta_w; under
-    # the classical calibration that is exactly a per-query budget of k*eps,
-    # and the composed loss is invariant to scaling (delta_w, sigma) together.
-    delta_w, eps, delta, n, k = 1.0, 0.4, 1e-6, 25, 3
-    sigma = gaussian_sigma(delta_w, eps, delta)
-    assert gaussian_sigma(k * delta_w, group_privacy(eps, delta, k)[0], delta) == pytest.approx(
-        sigma, rel=1e-12
-    )
-    direct = compose_to_dp(k * delta_w, k * sigma, n, delta).epsilon_total
-    assert direct == pytest.approx(compose_to_dp(delta_w, sigma, n, delta).epsilon_total, rel=1e-12)
 
 
 # --- tamaraw_gamma_bound ---

@@ -18,6 +18,11 @@ PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500)
 queue_ops = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.integers(1, 500), st.integers(0, 50)),
+        st.tuples(
+            st.just("extend"),
+            st.lists(st.tuples(st.integers(1, 500), st.integers(0, 50)), max_size=8),
+            st.just(0),
+        ),
         st.tuples(st.just("step"), st.integers(0, 600), st.integers(1, 8)),
     ),
     max_size=60,
@@ -35,6 +40,15 @@ def test_queue_matches_reference_model(ops):
             t += dt
             shaper.enqueue(1, arg, t)
             model.append([t, arg])
+            continue
+        if op == "extend":
+            times = []
+            for _, gap in arg:
+                t += gap
+                times.append(t)
+            sizes = [n for n, _ in arg]
+            shaper.extend(times, [1] * len(arg), sizes)
+            model.extend(map(list, zip(times, sizes)))
             continue
         now = (max(t, now) // PARAMS.interval + dt) * PARAMS.interval
         t = now

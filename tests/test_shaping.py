@@ -8,7 +8,7 @@ import pytest
 from _support import ForcedNoise, make_neighbor_pair, run_shaper
 from netshaper.dpcore import DpParams
 from netshaper.errors import SchedulingError
-from netshaper.shaping import PayloadSpan, ShapedBuffer, Shaper, dp_query
+from netshaper.shaping import COMPACT_MIN, PayloadSpan, ShapedBuffer, Shaper, dp_query
 
 PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500, cutoff=10_000)
 
@@ -35,14 +35,31 @@ def test_enqueue_totals():
 
 
 def test_enqueue_rejects_bad_sizes_and_times():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    # enqueue and a one-span extend enforce the same rules
+    for add in (Shaper.enqueue, lambda shaper, flow, n, t: shaper.extend([t], [flow], [n])):
+        shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+        with pytest.raises(ValueError):
+            add(shaper, 1, 0, 0)
+        add(shaper, 1, 10, 100)
+        with pytest.raises(ValueError):
+            add(shaper, 1, 10, 99)
+        with pytest.raises(ValueError):
+            add(shaper, 2, 10, 99)  # one FIFO: the order holds across flows
     with pytest.raises(ValueError):
-        shaper.enqueue(1, 0, 0)
-    shaper.enqueue(1, 10, 100)
+        shaper.extend([100, 120, 110], [1, 2, 1], [5, 5, 5])  # out of order inside the batch
     with pytest.raises(ValueError):
-        shaper.enqueue(1, 10, 99)
+        shaper.extend([99, 200], [1, 1], [5, 5])  # the batch starts before the tail
     with pytest.raises(ValueError):
-        shaper.enqueue(2, 10, 99)  # one FIFO: the order holds across flows
+        shaper.extend([100, 101], [1, 1], [5, 0])
+    with pytest.raises(ValueError):
+        shaper.extend([100, 101], [1], [5, 5])
+    # a rejected batch enqueues nothing
+    assert shaper.queued_total == shaper.bytes_in == shaper.queued(1) == 10
+    assert shaper.queued(2) == 0
+    shaper.extend([], [], [])
+    shaper.extend([100, 100, 130], [2, 1, 2], [1, 2, 3])
+    buf = step_with_noise(shaper, 200, 0.0)
+    assert [tuple(s) for s in buf.payload] == [(1, 10, 100), (2, 1, 100), (1, 2, 100), (2, 3, 130)]
 
 
 def test_flush_boundaries():
@@ -225,10 +242,13 @@ def test_shaper_matches_list_model(seed):
         now = k * 100
         if rng.random() < 0.7:  # otherwise an idle tick
             times = sorted(rng.randint(now - 100, now - 1) for _ in range(rng.randint(1, 5)))
-            for t in times:
-                flow, n = rng.choice(flows), rng.randint(1, 400)
-                shaper.enqueue(flow, n, t)
-                model.spans.append([t, flow, n])
+            arrivals = [(t, rng.choice(flows), rng.randint(1, 400)) for t in times]
+            if rng.random() < 0.5:  # one batch, or one enqueue per span
+                shaper.extend(*map(list, zip(*arrivals)))
+            else:
+                for t, flow, n in arrivals:
+                    shaper.enqueue(flow, n, t)
+            model.spans.extend(map(list, arrivals))
         noise = 0.0 if shaper.sigma == 0 else rng.choice([-1e9, 1e9, rng.gauss(0, 300)])
         shaper.rng = ForcedNoise(noise)
         buf = shaper.shaping_step(now)
@@ -240,6 +260,60 @@ def test_shaper_matches_list_model(seed):
         assert all(shaper.queued(f) == model.queued(f) for f in flows)
         assert sum(shaper.queued(f) for f in flows) == shaper.queued_total
         assert shaper.bytes_in == shaper.bytes_out + shaper.bytes_dropped + shaper.queued_total
+
+
+def test_compaction_keeps_the_fifo_and_bounds_its_lists():
+    # Thousands of short spans leave across the compaction threshold, more
+    # arrive after it, and everything drains; the lists never hold more than
+    # the queued spans plus max(COMPACT_MIN, queued spans).
+    rng = random.Random(8)
+    params = DpParams(1.0, 1e-6, 500.0, interval=100, window=100_000, cutoff=math.inf)
+    shaper = Shaper(params, 1.0, ForcedNoise())
+    model = FifoModel(params)
+
+    def feed(t, count):
+        arrivals = [[t, rng.randint(1, 3), rng.randint(1, 9)] for _ in range(count)]
+        shaper.extend(*map(list, zip(*arrivals)))
+        model.spans.extend(arrivals)
+
+    feed(0, 2500)
+    longest = 0
+    for k in range(1, 60):
+        now = k * 100
+        if k == 25:
+            feed(now - 1, 1500)
+        want = rng.randint(300, 1500)
+        noise = want - shaper.queued_total
+        buf = step_with_noise(shaper, now, noise)
+        got = (buf.dp_len, tuple(map(tuple, buf.payload)), buf.dummy, buf.drops,
+               tuple(map(tuple, buf.flushed)), buf.queue_len)
+        assert got == model.step(now, noise)
+        assert all(shaper.queued(f) == model.queued(f) for f in (1, 2, 3))
+        queued_spans = len(model.spans)
+        longest = max(longest, len(shaper._times))
+        assert len(shaper._times) <= queued_spans + max(COMPACT_MIN, queued_spans)
+    assert shaper.queued_total == 0 and longest == 2500
+    assert shaper.bytes_in == shaper.bytes_out
+
+
+def test_discard_flow_after_a_split_head():
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper.enqueue(1, 100, 0)
+    shaper.enqueue(2, 100, 5)
+    shaper.enqueue(1, 50, 6)
+    shaper.enqueue(3, 30, 7)
+    buf = step_with_noise(shaper, 100, 40 - 280)  # flow 1's first span leaves in part
+    assert [tuple(s) for s in buf.payload] == [(1, 40, 0)]
+    assert shaper.discard_flow(2) == 100
+    assert (shaper.queued(1), shaper.queued(2), shaper.queued_total) == (110, 0, 140)
+    assert shaper.bytes_in == shaper.bytes_out + shaper.bytes_dropped + shaper.queued_total
+    buf = step_with_noise(shaper, 200, 80 - 140)  # the rest of the head span, then in part
+    assert [tuple(s) for s in buf.payload] == [(1, 60, 0), (1, 20, 6)]
+    assert shaper.discard_flow(1) == 30  # the split head's own flow
+    assert shaper.bytes_in == shaper.bytes_out + shaper.bytes_dropped + shaper.queued_total
+    buf = step_with_noise(shaper, 300, 0.0)
+    assert [tuple(s) for s in buf.payload] == [(3, 30, 7)]
+    assert shaper.queued_total == 0
 
 
 # --- shaping_step ---

@@ -1,6 +1,7 @@
 """Trace-driven simulator tests."""
 
 import dataclasses
+import gc
 import math
 import random
 
@@ -8,6 +9,7 @@ import pytest
 
 from _support import as_stream
 from netshaper.dpcore import DpParams
+import netshaper.sim as sim_module
 from netshaper.errors import ConfigError
 from netshaper.sim import SimConfig, intervals_to_csv, overhead_sweep, simulate, sweep_to_csv
 from netshaper.traces import windowed_repr
@@ -44,6 +46,38 @@ def test_empty_stream_reports_absolute_dummy():
 def test_empty_stream_without_horizon_rejected():
     with pytest.raises(ConfigError):
         simulate([as_stream([])], SimConfig(PARAMS, seed=3))
+
+
+def test_collector_paused_only_for_the_call(monkeypatch):
+    seen = []
+
+    class RecordingShaper(sim_module.Shaper):
+        def shaping_step(self, now):
+            seen.append(gc.isenabled())
+            return super().shaping_step(now)
+
+    monkeypatch.setattr(sim_module, "Shaper", RecordingShaper)
+    stream = constant_rate_stream(count=2000)
+    assert gc.isenabled()
+    result = simulate([stream], SimConfig(PARAMS, seed=1))
+    young = gc.get_count()[0]  # read before anything here allocates
+    assert gc.isenabled() and seen and not any(seen)
+    # the young pass the pause put off ran inside the call: over 2000 new
+    # spans, yet no collection is due
+    assert sum(len(b.payload) for b in result.shaped) > 2000
+    assert young < gc.get_threshold()[0]
+    with pytest.raises(ConfigError):
+        simulate([as_stream([])], SimConfig(PARAMS))
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        simulate([stream], SimConfig(PARAMS, seed=1))
+        assert not gc.isenabled()
+        with pytest.raises(ConfigError):
+            simulate([as_stream([])], SimConfig(PARAMS))
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_noiseless_output_is_shifted_windowed_repr():

@@ -1,6 +1,7 @@
 """Live two-endpoint tunnel tests on loopback."""
 
 import json
+import logging
 import socket
 import statistics
 import threading
@@ -307,6 +308,25 @@ def test_one_flow_moves_more_than_its_handoff_queue_per_tick(sink):
     reference = RecordCodec(PSK, mtu=connect_cfg.mtu, flows_max=connect_cfg.flows_max)
     for _, dp_len, _, _, wire in connect.tick_stats:
         assert wire == reference.wire_bytes_for_tick(dp_len)
+
+
+def test_stop_after_a_transfer_logs_no_transmit_error(sink, caplog):
+    # stop() without a graceful close, while both prepare loops still tick:
+    # the transmit workers end on the shut socket without a warning.
+    serve_cfg, connect_cfg = make_cfg_pair()
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    try:
+        sock, response = open_flow(connect_cfg, sink.port)
+        assert response["ok"]
+        sock.sendall(bytes(200_000))
+        sock.close()
+        assert wait_for(lambda: sink.done and sink.done[0].is_set())
+    finally:
+        with caplog.at_level(logging.WARNING, logger="netshaper.tunnel"):
+            serve.stop()
+            connect.stop()
+    assert not any(t.is_alive() for ep in (serve, connect) for t in ep._threads)
+    assert [r for r in caplog.records if "transmit worker stopped" in r.getMessage()] == []
 
 
 def test_threads_do_not_pile_up_over_many_flows(sink):
