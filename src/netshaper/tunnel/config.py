@@ -8,13 +8,13 @@ from dataclasses import dataclass
 
 from ..dpcore import DpParams
 from ..errors import ConfigError
-from .records import CIPHER_AESGCM, CIPHER_NULL
 
 MS = 1_000_000
 
 REQUIRED_KEYS = (
     "listen_addr",
     "peer_addr",
+    "psk_hex",
     "T_ms",
     "W_ms",
     "delta_w_bytes",
@@ -24,13 +24,11 @@ REQUIRED_KEYS = (
 )
 
 OPTIONAL_KEYS = (
-    "psk_hex",
     "T_prep_ms",
     "T_enq_ms",
     "cutoff_bytes",
     "app_listen_addr",
     "mtu",
-    "cipher",
     "idle_timeout_ms",
 )
 
@@ -40,13 +38,12 @@ class TunnelConfig:
     listen_addr: tuple[str, int]
     peer_addr: tuple[str, int]
     params: DpParams
-    psk: bytes | None
+    psk: bytes
     t_prep: int  # ns
     t_enq: int  # ns
     flows_max: int
     app_listen_addr: tuple[str, int] | None = None
     mtu: int = 1400
-    cipher: str = CIPHER_AESGCM
     idle_timeout: int = 0  # ns, 0 disables
 
     def wire_params(self) -> dict:
@@ -61,7 +58,6 @@ class TunnelConfig:
             "cutoff_bytes": None if math.isinf(cutoff) else cutoff,
             "flows_max": self.flows_max,
             "mtu": self.mtu,
-            "cipher": self.cipher,
         }
 
 
@@ -116,14 +112,9 @@ def parse_config(text: str) -> TunnelConfig:
         values[key] = value
     missing = [k for k in REQUIRED_KEYS if k not in values]
     if missing:
-        raise ConfigError(f"missing config keys: {', '.join(missing)}")
-
-    cipher = values.get("cipher", CIPHER_AESGCM)
-    if cipher not in (CIPHER_AESGCM, CIPHER_NULL):
-        raise ConfigError(f"cipher must be {CIPHER_AESGCM} or {CIPHER_NULL}, got {cipher!r}")
-    psk = _parse_psk(values["psk_hex"]) if "psk_hex" in values else None
-    if cipher == CIPHER_AESGCM and psk is None:
-        raise ConfigError("psk_hex is required unless cipher=null")
+        verb = "is" if len(missing) == 1 else "are"
+        raise ConfigError(f"missing config keys: {', '.join(missing)} {verb} required")
+    psk = _parse_psk(values["psk_hex"])
 
     try:
         epsilon = float(values["epsilon"])
@@ -175,7 +166,6 @@ def parse_config(text: str) -> TunnelConfig:
             else None
         ),
         mtu=mtu,
-        cipher=cipher,
         idle_timeout=idle_timeout,
     )
 

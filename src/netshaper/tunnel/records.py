@@ -9,7 +9,9 @@ in records, a tick is cut at every MTU bytes; the endpoint writes it whole.
 A tick is sealed with one AES-256-GCM call under per-direction keys: one tag
 per tick, the nonce is the per-direction tick counter and the cleartext
 header is the associated data, so the interval and dp_len are bound to the
-block. A null cipher passes blocks through unsealed for debugging.
+block. Every tick is sealed and every hello carries an HMAC under the
+pre-shared key: there is no unsealed mode, because frame kinds and flow ids
+in clear text would show an observer the payload/dummy split.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ _RECORD_HEADER = struct.Struct(">4sQI")
 RECORD_HEADER_LEN = _RECORD_HEADER.size  # 16
 GCM_TAG_LEN = 16
 PROTOCOL_VERSION = 2
-
-CIPHER_AESGCM = "aesgcm"
-CIPHER_NULL = "null"
 
 
 class RecordError(SessionError):
@@ -70,11 +69,10 @@ class RecordCodec:
     forged header cannot make the reader allocate more than a tick can hold.
     """
 
-    def __init__(self, key: bytes | None, mtu: int, flows_max: int, max_dp_len: float = math.inf):
-        self.tag_len = GCM_TAG_LEN if key is not None else 0
-        if mtu < RECORD_HEADER_LEN + self.tag_len:
+    def __init__(self, key: bytes, mtu: int, flows_max: int, max_dp_len: float = math.inf):
+        if mtu < RECORD_HEADER_LEN + GCM_TAG_LEN:
             raise SessionError(f"mtu {mtu} cannot hold an empty tick")
-        self._aead = AESGCM(key) if key is not None else None
+        self._aead = AESGCM(key)
         self.mtu = mtu
         self.flows_max = flows_max
         self.max_dp_len = max_dp_len
@@ -82,7 +80,7 @@ class RecordCodec:
 
     def wire_bytes_for_tick(self, dp_len: int) -> int:
         """Exact bytes a tick of dp_len puts on the wire; independent of content."""
-        return RECORD_HEADER_LEN + block_len(dp_len, self.flows_max) + self.tag_len
+        return RECORD_HEADER_LEN + block_len(dp_len, self.flows_max) + GCM_TAG_LEN
 
     def chunk_sizes(self, dp_len: int) -> list[int]:
         """Record lengths of a tick on the wire: MTU-sized cuts, at least one."""
@@ -102,8 +100,6 @@ class RecordCodec:
         if len(block) != block_len(dp_len, self.flows_max):
             raise RecordError(f"block length {len(block)} does not match dp_len {dp_len}")
         header = _RECORD_HEADER.pack(MAGIC, interval, dp_len)
-        if self._aead is None:
-            return header, block
         return header, self._aead.encrypt(self._next_nonce(), block, header)
 
     def seal_tick(self, interval: int, dp_len: int, block: bytes) -> list[bytes | memoryview]:
@@ -129,8 +125,6 @@ class RecordCodec:
         if dp_len > self.max_dp_len:
             raise RecordError(f"dp_len {dp_len} above the cutoff")
         sealed = recv_exact(self.wire_bytes_for_tick(dp_len) - RECORD_HEADER_LEN)
-        if self._aead is None:
-            return interval, dp_len, sealed
         try:
             return interval, dp_len, self._aead.decrypt(self._next_nonce(), sealed, header)
         except InvalidTag:
@@ -149,7 +143,7 @@ class Hello:
     nonce: bytes
     params: dict
 
-    def encode(self, psk: bytes | None) -> bytes:
+    def encode(self, psk: bytes) -> bytes:
         payload = json.dumps(
             {
                 "version": PROTOCOL_VERSION,
@@ -159,11 +153,11 @@ class Hello:
             },
             sort_keys=True,
         ).encode()
-        mac = hmac.new(psk, payload, sha256).digest() if psk is not None else b""
+        mac = hmac.new(psk, payload, sha256).digest()
         return MAGIC + _HELLO_LEN.pack(len(payload) + len(mac)) + payload + mac
 
 
-def read_hello(recv_exact: Callable[[int], bytes], psk: bytes | None) -> Hello:
+def read_hello(recv_exact: Callable[[int], bytes], psk: bytes) -> Hello:
     magic = recv_exact(4)
     if magic != MAGIC:
         raise SessionError("peer did not speak the tunnel protocol")
@@ -171,14 +165,11 @@ def read_hello(recv_exact: Callable[[int], bytes], psk: bytes | None) -> Hello:
     if not 0 < length <= 65536:
         raise SessionError(f"implausible hello length {length}")
     raw = recv_exact(length)
-    if psk is not None:
-        if length <= HMAC_LEN:
-            raise AuthError("hello too short to be authenticated")
-        payload, mac = raw[:-HMAC_LEN], raw[-HMAC_LEN:]
-        if not hmac.compare_digest(hmac.new(psk, payload, sha256).digest(), mac):
-            raise AuthError("peer failed pre-shared-key authentication")
-    else:
-        payload = raw
+    if length <= HMAC_LEN:
+        raise AuthError("hello too short to be authenticated")
+    payload, mac = raw[:-HMAC_LEN], raw[-HMAC_LEN:]
+    if not hmac.compare_digest(hmac.new(psk, payload, sha256).digest(), mac):
+        raise AuthError("peer failed pre-shared-key authentication")
     try:
         body = json.loads(payload.decode())
         hello = Hello(body["role"], bytes.fromhex(body["nonce"]), body["params"])

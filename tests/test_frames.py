@@ -214,14 +214,6 @@ def test_codec_rejects_bad_sizes():
         RecordCodec(KEY, mtu=256, flows_max=4).seal(1, 10, bytes(10))
 
 
-def test_null_cipher_round_trip():
-    tx = RecordCodec(None, mtu=128, flows_max=4)
-    rx = RecordCodec(None, mtu=128, flows_max=4)
-    block = encode_block(build_frames([(1, 0, b"data")], None, 6), 10, 4)
-    records = tx.seal_tick(2, 10, block)
-    assert rx.read_tick(feeder(b"".join(records))) == (2, 10, block)
-
-
 def test_direction_keys_differ():
     c2s, s2c = derive_direction_keys(KEY, b"salt" * 8)
     assert c2s != s2c and len(c2s) == len(s2c) == 32
@@ -316,5 +308,3 @@ def test_null_cipher_skips_psk():
     )
     with pytest.raises(ConfigError, match="psk_hex is required"):
         parse_config(text)
-    cfg = parse_config(text + "\ncipher = null\n")
-    assert cfg.psk is None

@@ -471,21 +471,6 @@ def test_phase_discipline_handoff_offsets(sink):
     assert abs(statistics.median(loaded) - statistics.median(idle)) < 0.01
 
 
-def test_rx_processing_without_live_session():
-    # frame dispatch is testable directly: dummy frames are only counted,
-    # data for unknown flows parks in the pending buffer
-    from netshaper.tunnel.frames import build_frames, encode_block
-
-    serve_cfg, _ = make_cfg_pair()
-    endpoint = TunnelEndpoint(serve_cfg, "serve")
-    frames = build_frames([(9, 0, b"early")], None, 1_000_000)
-    block = encode_block(frames, 1_000_005, serve_cfg.flows_max)
-    endpoint._process_tick(1, 1_000_005, block)
-    assert endpoint.stats["dummy_rx"] == 1_000_000
-    assert endpoint.stats["payload_rx"] == 0
-    assert endpoint._pending_frames[9] == [(0, b"early")]
-
-
 def test_graceful_shutdown_exchanges_bye(sink):
     serve_cfg, connect_cfg = make_cfg_pair()
     serve, connect = start_pair(serve_cfg, connect_cfg)
