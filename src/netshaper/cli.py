@@ -237,7 +237,8 @@ def cmd_tamaraw(args) -> int:
 
 
 def _tick_line(k, dp_len, payload, dummy, wire):
-    print(f"tick k={k} dp_len={dp_len} payload={payload} dummy={dummy} wire={wire}", flush=True)
+    # Only the public fields: the payload/dummy split is what the shaper hides.
+    print(f"tick k={k} dp_len={dp_len} wire={wire}", flush=True)
 
 
 def cmd_tunnel(role: str, args) -> int:

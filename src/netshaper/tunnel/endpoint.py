@@ -1,15 +1,18 @@
-"""Live tunnel endpoint: the threads, sockets and clocks around a ``TunnelSession``.
+"""Live tunnel endpoint: the sockets, workers and clock around a ``TunnelSession``.
 
-The session holds the tick protocol; this shell moves bytes between sockets
-and the session and calls its ``tick`` on the interval grid. Three execution
-contexts share state through narrow channels: application socket threads
-produce byte chunks into bounded per-flow handoff queues; the prepare thread
-owns the tick, offers the handoffs to the session while it waits for each
-interval boundary (so a handoff queue is a burst buffer, not a per-tick rate
-cap), ticks the session at the boundary and hands the sealed tick to the
-transmit worker, which writes it with one call; the receive worker reads the
-inbound wire stream, hands each tick to the session and acts on its events:
-per-flow delivery queues, destination connects, closes and the session bye.
+Three workers run an endpoint, however many flows it carries. The loop
+thread owns the tick and is the one thread that calls the session: it waits
+in ``select`` until the next tick deadline or handoff time, and meanwhile,
+without blocking, accepts and registers application connections, reads
+their bytes into ``offer``, connects to destinations, hands each opened tick
+to ``receive`` and writes delivered bytes out. The transmit worker writes
+each sealed tick with one call. The receive worker reads and opens each
+inbound tick and hands it to the loop through a small bounded queue and a
+wake-up byte.
+
+Destinations must be numeric addresses, because a name lookup would block
+the loop. A flow whose application stops reading is reset once cutoff × W/T
+delivered bytes wait for it, the bound ``offer`` puts on the other direction.
 """
 
 from __future__ import annotations
@@ -17,12 +20,15 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import os
 import queue
 import random
+import selectors
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from errno import EINPROGRESS
 from functools import partial
 
 from ..errors import SessionError
@@ -33,24 +39,23 @@ from .session import Flow, TunnelSession
 log = logging.getLogger("netshaper.tunnel")
 
 NS = 1_000_000_000
-APP_CHUNK = 16384
-HANDOFF_CHUNKS = 64
-DRAIN_EVERY = 0.002  # seconds between handoff drains while a tick waits
-RX_CHUNKS = 64
+APP_CHUNK = 65536
+LINE_MAX = 65536
+OPEN_TIMEOUT = 10.0  # seconds for a registration line or a destination connect
 DELIVER_TIMEOUT = 5.0
-_EOF = object()
+READ, WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 
 @dataclass(eq=False)
 class FlowIO:
-    """A flow's socket and the queues between its proxy threads and the session's threads."""
+    """An application or destination socket; registering or connecting while ``deadline`` is set."""
 
     sock: socket.socket
-    handoff: queue.Queue = field(default_factory=lambda: queue.Queue(HANDOFF_CHUNKS))
-    rx_q: queue.Queue = field(default_factory=lambda: queue.Queue(RX_CHUNKS))
-    staged: bytes | None = None  # a chunk the session refused, offered again next drain
-    dead: bool = False
-    writer: threading.Thread | None = None
+    flow: Flow | None = None  # None while registering, and once the session has ended the flow
+    deadline: float | None = None
+    staged: bytes | None = None  # read but not yet offered: the registration line, or a refused chunk
+    out: bytearray = field(default_factory=bytearray)  # delivered bytes not yet written
+    peer_eof: bool = False  # shut the write side once ``out`` is written
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytearray:
@@ -73,23 +78,11 @@ def _send_pieces(sock: socket.socket, pieces: tuple[bytes, ...]) -> None:
         sent = max(0, sent - len(piece))
 
 
-def _read_line(sock: socket.socket, limit: int = 65536) -> bytes:
-    buf = bytearray()
-    while not buf.endswith(b"\n"):
-        if len(buf) > limit:
-            raise SessionError("registration line too long")
-        chunk = sock.recv(1)
-        if not chunk:
-            raise SessionError("peer closed before finishing the line")
-        buf += chunk
-    return bytes(buf)
-
-
 class TunnelEndpoint:
     """One side of a shaping tunnel; drive with start() and shutdown()/stop().
 
-    ``session`` exists once ``establish`` has run; ``flows``, ``shaper``,
-    ``stats`` and ``tick_stats`` read through to it.
+    ``establish`` makes the ``session``; ``flows``, ``shaper``, ``stats``
+    (with this shell's overrun counts) and ``tick_stats`` are its own.
     """
 
     def __init__(self, cfg: TunnelConfig, role: str, tick_log=None, seed: int | None = None):
@@ -100,58 +93,32 @@ class TunnelEndpoint:
         self.tick_log = tick_log
         self._rng = random.Random(seed)
         self.session: TunnelSession | None = None
-        self._flows_lock = threading.Lock()
         self._tx_queue: queue.Queue = queue.Queue(4)
-        self._stop = threading.Event()
+        self._rx_queue: queue.Queue = queue.Queue(4)  # opened ticks, then None once the wire ends
+        self._sel = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
+        self._ios: set[FlowIO] = set()
+        self._wire_ended = False
         self._closing = threading.Event()
         self._threads: list[threading.Thread] = []
-        # A graceful close finishes once both the prepare and the receive
-        # loop have ended; any other end of either loop finishes at once.
-        self._graceful_ends = 0
-        self._graceful_lock = threading.Lock()
         self._wire_sock: socket.socket | None = None
-        self._listen_sock: socket.socket | None = None
         self._app_listen_sock: socket.socket | None = None
         self._last_activity = time.monotonic()
-        self._overruns = {"prep_overruns": 0, "enq_overruns": 0}
         self.handoff_offsets: list[float] = []
         self.session_ready = threading.Event()
         self.finished = threading.Event()
 
-    @property
-    def flows(self) -> dict[int, Flow]:
-        return self.session.flows
-
-    @property
-    def shaper(self):
-        return self.session.shaper
-
-    @property
-    def tick_stats(self) -> list[tuple[int, int, int, int, int]]:
-        return self.session.tick_stats
-
-    @property
-    def stats(self) -> dict:
-        """The session's counters and this shell's overrun counts, in one dict."""
-        return {**self.session.stats, **self._overruns}
-
     # --- establishment ---
-
-    def _spawn(self, target, name) -> threading.Thread:
-        t = threading.Thread(target=target, name=f"{self.role}-{name}", daemon=True)
-        t.start()
-        with self._flows_lock:  # flow threads spawn flow threads
-            self._threads = [u for u in self._threads if u.is_alive()] + [t]
-        return t
 
     def establish(self) -> None:
         """Connect or accept the wire socket, run the parameter handshake, make the session."""
         if self.role == "connect":
             sock = socket.create_connection(self.cfg.peer_addr, timeout=10)
         else:
-            self._listen_sock = socket.create_server(self.cfg.listen_addr)
-            self._listen_sock.settimeout(30)
-            sock, _ = self._listen_sock.accept()
+            with socket.create_server(self.cfg.listen_addr) as listener:
+                listener.settimeout(30)
+                sock, _ = listener.accept()
         sock.settimeout(30)
         try:
             my_nonce = random_nonce()
@@ -168,10 +135,14 @@ class TunnelEndpoint:
             salt = my_nonce + peer.nonce if connect else peer.nonce + my_nonce
             c2s, s2c = derive_direction_keys(self.cfg.psk, salt)
             tx_key, rx_key = (c2s, s2c) if connect else (s2c, c2s)
-            self.session = TunnelSession(self.cfg, tx_key, rx_key, self._rng, self._flows_lock)
+            self.session = session = TunnelSession(self.cfg, tx_key, rx_key, self._rng)
         except Exception:
             sock.close()
             raise
+        session.stats.update(prep_overruns=0, enq_overruns=0)
+        self.flows, self.shaper, self.stats, self.tick_stats = (
+            session.flows, session.shaper, session.stats, session.tick_stats
+        )
         sock.settimeout(None)
         self._wire_sock = sock
         self._last_activity = time.monotonic()
@@ -180,200 +151,85 @@ class TunnelEndpoint:
 
     def start(self) -> None:
         self.establish()
-        self._spawn(self._prepare_loop, "prepare")
-        self._spawn(self._tx_loop, "tx")
-        self._spawn(self._rx_loop, "rx")
+        self._chunk = min(APP_CHUNK, self.session.cap or APP_CHUNK)  # a chunk the cap can take
+        self._sel.register(self._wake_r, READ, self._on_wake)
         if self.cfg.app_listen_addr is not None:
             self._app_listen_sock = socket.create_server(self.cfg.app_listen_addr)
-            self._app_listen_sock.settimeout(0.2)
-            self._spawn(self._app_accept_loop, "accept")
+            self._app_listen_sock.setblocking(False)
+            self._sel.register(self._app_listen_sock, READ, self._on_accept)
+        for target, name in ((self._loop, "loop"), (self._tx_loop, "tx"), (self._rx_loop, "rx")):
+            self._threads.append(threading.Thread(target=target, name=f"{self.role}-{name}", daemon=True))
+            self._threads[-1].start()
 
     def shutdown(self) -> None:
         """Graceful close: flow closes and the session bye ride shaped ticks."""
         self._closing.set()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Hard stop; joins worker threads."""
-        self._stop.set()
+        """Hard stop: joins the workers, then closes every socket."""
         self.finished.set()
+        self._wake()
         # The transmit worker ends on the sentinel or the shut socket, not a closed fd.
         if self._wire_sock is not None:
             with contextlib.suppress(OSError):
                 self._wire_sock.shutdown(socket.SHUT_RDWR)
         with contextlib.suppress(queue.Full):
             self._tx_queue.put_nowait(None)
-        for sock in (self._wire_sock, self._listen_sock, self._app_listen_sock):
-            if sock is not None:
-                with contextlib.suppress(OSError):
-                    sock.close()
-        for io in self._flow_ios():
-            # close() does not wake a reader blocked in recv; shutdown() does.
-            with contextlib.suppress(OSError):
-                io.sock.shutdown(socket.SHUT_RDWR)
-            self._release(io)
         for t in self._threads:
             t.join(timeout)
+        for io in list(self._ios):
+            self._close(io)
+        self._sel.close()
+        for sock in (self._wire_sock, self._app_listen_sock, self._wake_r, self._wake_w):
+            if sock is not None:
+                sock.close()
 
-    def _flow_ios(self) -> list[FlowIO]:
-        flows = self.session.snapshot() if self.session is not None else []
-        return [flow.io for flow in flows if flow.io is not None]
+    def _wake(self):
+        with contextlib.suppress(OSError):  # a full pair already holds a wake-up
+            self._wake_w.send(b"\0")
 
-    # --- application side (UShaper role) ---
+    # --- the loop (DShaper role) ---
 
-    def _app_accept_loop(self):
-        while not self._stop.is_set() and not self._closing.is_set():
-            try:
-                conn, addr = self._app_listen_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            self._spawn(lambda c=conn, a=addr: self._register_app_flow(c, a), "register")
-
-    def _register_app_flow(self, conn: socket.socket, addr):
-        try:
-            conn.settimeout(10)
-            line = _read_line(conn)
-            req = json.loads(line.decode())
-            dst_host, dst_port = req["dst_host"], int(req["dst_port"])
-        except (SessionError, ValueError, KeyError) as exc:
-            log.warning("registration from %s rejected: %s", addr, exc)
-            self._reject_app(conn, f"bad registration: {exc}")
-            return
-        if req.get("reliability", True) is not True:
-            self._reject_app(conn, "unreliable mode is not supported")
-            return
-        flow = self.session.open_flow(dst_host, dst_port, FlowIO(conn))
-        if flow is None:
-            self._reject_app(conn, "no free flow slot")
-            return
-        conn.settimeout(None)
-        conn.sendall(json.dumps({"ok": True, "flow_id": flow.flow_id}).encode() + b"\n")
-        self._start_proxy(flow)
-        log.info("flow %d registered for %s:%s", flow.flow_id, dst_host, dst_port)
-
-    @staticmethod
-    def _reject_app(conn: socket.socket, reason: str):
-        try:
-            conn.sendall(json.dumps({"ok": False, "error": reason}).encode() + b"\n")
-        except OSError:
-            pass
-        conn.close()
-
-    def _start_proxy(self, flow: Flow):
-        self._spawn(lambda: self._app_reader(flow.io), f"read-{flow.flow_id}")
-        flow.io.writer = self._spawn(lambda: self._app_writer(flow.io), f"write-{flow.flow_id}")
-
-    def _app_reader(self, io: FlowIO):
-        try:
-            while not self._stop.is_set():
-                data = io.sock.recv(APP_CHUNK)
-                if not data:
-                    break
-                io.handoff.put(data)
-        except OSError:
-            pass
-        io.handoff.put(_EOF)
-
-    def _app_writer(self, io: FlowIO):
-        try:
-            while not self._stop.is_set():
-                item = io.rx_q.get()
-                if item is _EOF:
-                    with contextlib.suppress(OSError):
-                        io.sock.shutdown(socket.SHUT_WR)
-                    return
-                io.sock.sendall(item)
-        except OSError:
-            pass
-
-    def _release(self, io: FlowIO | None):
-        # The idle timeout needs no flow, so it counts from the last teardown.
-        self._last_activity = time.monotonic()
-        if io is None or io.dead:
-            return
-        io.dead = True
-        io.rx_q.put(_EOF)
-        with contextlib.suppress(OSError):
-            io.sock.close()
-
-    # --- prepare loop (DShaper role) ---
-
-    def _sleep_until(self, deadline: float):
-        while not self._stop.is_set():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
-            time.sleep(min(remaining, 0.05))
-
-    def _drain_until(self, deadline: float):
-        while not self._stop.is_set() and time.monotonic() < deadline:
-            self._drain_handoffs()
-            time.sleep(max(0.0, min(deadline - time.monotonic(), DRAIN_EVERY)))
-
-    def _drain_handoffs(self, closing: bool = False):
-        """Offer each flow's handed-over chunks to the session, oldest first.
-
-        While ``closing``, a flow with nothing left to hand over ends its
-        stream, so its FIN follows its last byte.
-        """
-        for flow in self.session.snapshot():
-            io = flow.io
-            if io is None:
-                continue
-            while True:
-                if io.staged is None:
-                    try:
-                        io.staged = io.handoff.get_nowait()
-                    except queue.Empty:
-                        if closing:
-                            self.session.app_eof(flow)
-                        break
-                if io.staged is _EOF:
-                    io.staged = None
-                    self.session.app_eof(flow)
-                    break
-                if not self.session.offer(flow, io.staged):
-                    break
-                io.staged = None
-
-    def _prepare_loop(self):
+    def _loop(self):
         cfg = self.cfg
         session = self.session
+        stats = self.stats
         t_sec = cfg.params.interval / NS
         t_prep_sec = cfg.t_prep / NS
         t_enq_sec = cfg.t_enq / NS
         epoch = time.monotonic()
         k = 0
-        graceful = False
         try:
-            while not self._stop.is_set():
+            while not self.finished.is_set() and not session.done:
                 k += 1
                 deadline = epoch + k * t_sec
-                self._drain_until(deadline)
-                if self._stop.is_set():
+                self._serve_until(deadline)
+                if self.finished.is_set():
                     break
                 if self._closing.is_set():
                     session.close()
-                    self._drain_handoffs(closing=True)
+                    for flow in session.flows.values():  # a staged chunk still goes before the FIN
+                        if flow.io is None or flow.io.staged is None:
+                            session.app_eof(flow)
 
                 wire_tick, ended = session.tick(k)
 
                 if time.monotonic() - deadline > t_prep_sec:
-                    self._overruns["prep_overruns"] += 1
-                self._sleep_until(deadline + t_prep_sec)
+                    stats["prep_overruns"] += 1
+                # epoll rounds a timeout up to whole milliseconds, so the last one is slept.
+                self._serve_until(deadline + t_prep_sec - 0.001)
+                time.sleep(max(0.0, deadline + t_prep_sec - time.monotonic()))
                 self.handoff_offsets.append(time.monotonic() - deadline)
                 self._tx_queue.put(wire_tick)
                 if time.monotonic() - deadline > t_prep_sec + t_enq_sec:
-                    self._overruns["enq_overruns"] += 1
+                    stats["enq_overruns"] += 1
                 if self.tick_log is not None:
-                    self.tick_log(*session.tick_stats[-1])
-
+                    self.tick_log(*self.tick_stats[-1])
                 for flow in ended:
                     self._release(flow.io)
-                if session.done:
-                    graceful = True
-                    break
+                    # The idle timeout needs no flow, so it counts from the last teardown.
+                    self._last_activity = time.monotonic()
+                self._after_tick()
                 if (
                     cfg.idle_timeout > 0
                     and not self._closing.is_set()
@@ -382,88 +238,237 @@ class TunnelEndpoint:
                 ):
                     log.info("idle timeout, closing session")
                     self._closing.set()
-        except (SessionError, OSError) as exc:
-            log.warning("prepare loop stopped: %s", exc)
-        finally:
             self._tx_queue.put(None)
-            if graceful:
-                self._loop_ended_gracefully()
-            else:
-                self.finished.set()
-
-    def _loop_ended_gracefully(self):
-        with self._graceful_lock:
-            self._graceful_ends += 1
-            if self._graceful_ends == 2:
-                self.finished.set()
-
-    # --- wire workers ---
-
-    def _tx_loop(self):
-        try:
-            while True:
-                wire_tick = self._tx_queue.get()
-                if wire_tick is None:
-                    break
-                _send_pieces(self._wire_sock, wire_tick)
-        except OSError as exc:
-            if not self._stop.is_set():
-                log.warning("transmit worker stopped: %s", exc)
-            self.finished.set()
-        finally:
-            try:
-                self._wire_sock.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-
-    def _rx_loop(self):
-        session = self.session
-        recv = partial(_recv_exact, self._wire_sock)
-        try:
-            while not self._stop.is_set():
-                # Nothing of a tick stays referenced here while the next one is read.
-                self._on_events(session.receive(*session.codec_rx.read_tick(recv)))
+            if session.done:  # the peer's last ticks may still be on the wire: deliver them first
+                self._serve_until(
+                    time.monotonic() + DELIVER_TIMEOUT,
+                    lambda: self._wire_ended and not any(io.out for io in self._ios),
+                )
         except (SessionError, OSError) as exc:
-            if not self._stop.is_set() and not self._closing.is_set():
-                log.warning("receive worker stopped: %s", exc)
-        if self._stop.is_set() or not self._closing.is_set():
+            log.warning("loop stopped: %s", exc)
+            self._tx_queue.put(None)
+        finally:
             self.finished.set()
+
+    def _serve_until(self, t: float, done=lambda: False):
+        """Serve socket events until monotonic time ``t``, ``done()`` or the end; at least one pass."""
+        while True:
+            for key, mask in self._sel.select(0.0 if done() else max(0.0, t - time.monotonic())):
+                key.data(mask)
+            if self.finished.is_set() or done() or time.monotonic() >= t:
+                return
+
+    def _after_tick(self):
+        """Offer the chunks the session refused; end registrations and connects past due."""
+        now = time.monotonic()
+        for io in list(self._ios):
+            if io.flow is not None and io.staged is not None and self.session.offer(io.flow, io.staged):
+                io.staged = None
+                self._watch(io)
+            elif io.deadline is not None and now > io.deadline:
+                if io.flow is None:
+                    self._reject(io, "registration timed out")
+                else:
+                    self._fail(io, "connect-failed", "connect timed out")
+
+    # --- sockets ---
+
+    def _watch(self, io: FlowIO):
+        """Select ``io`` for what its state waits on; close it once released and written."""
+        flow = io.flow
+        if io.deadline is not None:  # the registration line, or the connect's outcome
+            events = WRITE if flow else READ
+        elif flow is None and not io.out:
+            return self._close(io)
+        else:
+            reading = flow is not None and io.staged is None and not (flow.tx_eof or flow.rst)
+            events = (WRITE if io.out else 0) | (READ if reading else 0)
+        key = self._sel.get_map().get(io.sock)
+        if key is not None and key.events != events:
+            self._sel.unregister(io.sock)
+        if events and (key is None or key.events != events):
+            self._sel.register(io.sock, events, partial(self._on_io, io))
+
+    def _close(self, io: FlowIO):
+        with contextlib.suppress(KeyError):
+            self._sel.unregister(io.sock)
+        self._ios.discard(io)
+        io.sock.close()
+
+    def _release(self, io: FlowIO | None):
+        """The session ended the flow: write what is left, then close."""
+        if io in self._ios:
+            io.flow = None
+            if io.deadline is not None:  # still connecting: nothing can be written
+                self._close(io)
+            else:
+                self._watch(io)
+
+    def _fail(self, io: FlowIO, reason: str, detail):
+        """Reset the flow of a socket that failed; the next tick tears the flow down."""
+        log.warning("flow %d: %s (%s)", io.flow.flow_id, reason, detail)
+        if not io.flow.rst:
+            self.session.reset(io.flow, reason)
+        io.flow.io = None
+        self._close(io)
+
+    def _on_io(self, io: FlowIO, mask: int):
+        if io not in self._ios:  # closed earlier in this batch of events
             return
-        # The wire ended during a close: hand what arrived to the applications
-        # before the session counts as finished.
-        self._deliver_received()
-        self._loop_ended_gracefully()
+        flow = io.flow
+        try:
+            if io.deadline is not None and flow is None:
+                self._read_registration(io)
+                return
+            if io.deadline is not None:
+                err = io.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if err:
+                    self._fail(io, "connect-failed", os.strerror(err))
+                    return
+                io.deadline = None
+            if mask & WRITE and io.out:
+                del io.out[: io.sock.send(io.out)]
+            if mask & WRITE and io.peer_eof and not io.out:
+                io.sock.shutdown(socket.SHUT_WR)
+            if mask & READ and flow is not None and not (flow.tx_eof or flow.rst):
+                data = io.sock.recv(self._chunk)
+                if not data:
+                    self.session.app_eof(flow)
+                elif not self.session.offer(flow, data):
+                    io.staged = data
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            if flow is None:
+                self._close(io)
+            else:
+                self._fail(io, "app-error", exc)
+            return
+        self._watch(io)
+
+    # --- application side (UShaper role) ---
+
+    def _on_accept(self, mask: int):
+        with contextlib.suppress(OSError):
+            conn, _ = self._app_listen_sock.accept()
+            conn.setblocking(False)
+            io = FlowIO(conn, deadline=time.monotonic() + OPEN_TIMEOUT, staged=b"")
+            self._ios.add(io)
+            self._watch(io)
+
+    def _read_registration(self, io: FlowIO):
+        chunk = io.sock.recv(self._chunk)
+        io.staged += chunk
+        head, newline, rest = io.staged.partition(b"\n")
+        if not chunk or len(head) > LINE_MAX:
+            self._reject(io, "registration line too long" if chunk else "closed before finishing the line")
+            return
+        if not newline:
+            return
+        try:
+            req = json.loads(head)
+            dst_host, dst_port = str(req["dst_host"]), int(req["dst_port"])
+            if req.get("reliability", True) is not True:
+                raise ValueError("unreliable mode is not supported")
+        except (ValueError, KeyError, TypeError) as exc:
+            self._reject(io, f"bad registration: {exc}")
+            return
+        flow = None if self._closing.is_set() else self.session.open_flow(dst_host, dst_port, io)
+        if flow is None:
+            self._reject(io, "the session is closing" if self._closing.is_set() else "no free flow slot")
+            return
+        io.flow, io.deadline, io.staged = flow, None, rest or None
+        io.out += json.dumps({"ok": True, "flow_id": flow.flow_id}).encode() + b"\n"
+        self._watch(io)
+        log.info("flow %d registered for %s:%s", flow.flow_id, dst_host, dst_port)
+
+    def _reject(self, io: FlowIO, reason: str):
+        log.warning("registration rejected: %s", reason)
+        with contextlib.suppress(OSError):  # a short reply on a fresh socket
+            io.sock.send(json.dumps({"ok": False, "error": reason}).encode() + b"\n")
+        self._close(io)
+
+    # --- destination side ---
 
     def _on_events(self, events: list[tuple]):
+        cap = self.session.cap
         for kind, *args in events:
             if kind == "open":
                 self._open_remote_flow(*args)
             elif kind == "bye":
                 self._closing.set()
             elif args[0].io is not None:  # "data" or "eof" for a flow with a socket
-                args[0].io.rx_q.put(args[1] if kind == "data" else _EOF)
-
-    def _deliver_received(self):
-        """Let each flow's writer hand its queued bytes to the application."""
-        deadline = time.monotonic() + DELIVER_TIMEOUT
-        for io in self._flow_ios():
-            try:
-                io.rx_q.put(_EOF, timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Full:
-                continue
-            if io.writer is not None:
-                io.writer.join(max(0.0, deadline - time.monotonic()))
+                io = args[0].io
+                if kind == "eof":
+                    io.peer_eof = True
+                elif cap is not None and len(io.out) + len(args[1]) > cap:
+                    self._fail(io, "stalled", f"{len(io.out)} bytes unread")
+                    continue
+                else:
+                    io.out += args[1]
+                if io.deadline is None:  # connected: write at once
+                    self._on_io(io, WRITE)
 
     def _open_remote_flow(self, flow: Flow, dst_host: str, dst_port: int):
-        try:
-            conn = socket.create_connection((dst_host, dst_port), timeout=10)
-        except OSError as exc:
+        try:  # numeric addresses only: a name lookup would block the loop
+            if not 0 < dst_port < 65536:  # getaddrinfo would take it modulo 65536
+                raise ValueError(f"port {dst_port} out of range")
+            family, kind, proto, _, addr = socket.getaddrinfo(
+                dst_host, dst_port, type=socket.SOCK_STREAM, flags=socket.AI_NUMERICHOST
+            )[0]
+            sock = socket.socket(family, kind, proto)
+        except (OSError, ValueError) as exc:
             log.warning("flow %d: cannot reach %s:%s (%s)", flow.flow_id, dst_host, dst_port, exc)
             self.session.reset(flow, "connect-failed")
             return
-        flow.io = FlowIO(conn)
-        if self.session.flows.get(flow.flow_id) is not flow:  # the peer reset it meanwhile
-            self._release(flow.io)
+        flow.io = io = FlowIO(sock, flow, time.monotonic() + OPEN_TIMEOUT)
+        self._ios.add(io)
+        io.sock.setblocking(False)
+        err = io.sock.connect_ex(addr)
+        if err not in (0, EINPROGRESS):
+            self._fail(io, "connect-failed", os.strerror(err))
             return
-        self._start_proxy(flow)
-        log.info("flow %d opened towards %s:%s", flow.flow_id, dst_host, dst_port)
+        self._watch(io)
+        log.info("flow %d opening towards %s:%s", flow.flow_id, dst_host, dst_port)
+
+    def _on_wake(self, mask: int):
+        self._wake_r.recv(4096)
+        with contextlib.suppress(queue.Empty):
+            while (opened := self._rx_queue.get_nowait()) is not None:
+                self._on_events(self.session.receive(*opened))
+            self._wire_ended = True
+            if not self._closing.is_set():
+                self.finished.set()
+
+    # --- wire workers ---
+
+    def _tx_loop(self):
+        try:
+            for wire_tick in iter(self._tx_queue.get, None):
+                _send_pieces(self._wire_sock, wire_tick)
+        except OSError as exc:
+            if not self.finished.is_set():
+                log.warning("transmit worker stopped: %s", exc)
+            self.finished.set()
+        finally:
+            with contextlib.suppress(OSError):
+                self._wire_sock.shutdown(socket.SHUT_WR)
+
+    def _rx_loop(self):
+        read_tick = self.session.codec_rx.read_tick
+        recv = partial(_recv_exact, self._wire_sock)
+        try:
+            while not self.finished.is_set():
+                # Nothing of a tick stays referenced here while the next one is read.
+                self._hand_to_loop(read_tick(recv))
+        except (SessionError, OSError) as exc:
+            if not self.finished.is_set() and not self._closing.is_set():
+                log.warning("receive worker stopped: %s", exc)
+        self._hand_to_loop(None)
+
+    def _hand_to_loop(self, opened):
+        while not self.finished.is_set():
+            with contextlib.suppress(queue.Full):
+                self._rx_queue.put(opened, timeout=0.1)
+                self._wake()
+                return

@@ -1,17 +1,15 @@
 """The tunnel's tick protocol, with no socket, thread or clock.
 
-``TunnelEndpoint`` is the threaded shell around a ``TunnelSession``; tests
-drive two sessions back to back in memory, tick by tick.
+``TunnelEndpoint`` is the shell around a ``TunnelSession``; tests drive two
+sessions back to back in memory, tick by tick.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,37 +52,31 @@ class TunnelSession:
     bye) are JSON lines on the control stream, which rides the shaper as
     flow 0, so no wire byte leaves outside a shaped tick.
 
-    Which thread may call what, when a threaded shell drives the session:
-
-    - ``offer``, ``app_eof``, ``close``, ``tick`` and ``done``: the one
-      thread that owns the tick (the endpoint's prepare thread).
-    - ``receive``: the one thread that reads the wire.
-    - ``open_flow``, ``reset`` and ``snapshot``: any thread. Control
-      messages wait in a deque, whose append and popleft are atomic, and
-      every change to the membership of ``flows`` holds ``lock``.
+    The session is not thread-safe: one thread makes every call (the
+    endpoint's loop thread, which also owns the tick).
 
     Backpressure is a return value: ``offer`` refuses bytes, and takes none
-    of them, while the flow holds cutoff × W/T bytes.
+    of them, while the flow holds ``cap`` (cutoff × W/T) bytes.
     """
 
-    def __init__(self, cfg: TunnelConfig, tx_key: bytes, rx_key: bytes, rng: random.Random, lock=None):
+    def __init__(self, cfg: TunnelConfig, tx_key: bytes, rx_key: bytes, rng: random.Random):
         params = cfg.params
         self.flows_max = cfg.flows_max
         sigma = gaussian_sigma(params.delta_w, params.epsilon_t, params.delta_t)
         self.shaper = Shaper(params, sigma, rng)
         self.codec_tx = RecordCodec(tx_key, cfg.mtu, cfg.flows_max)
         self.codec_rx = RecordCodec(rx_key, cfg.mtu, cfg.flows_max, params.cutoff)
-        self.lock = lock if lock is not None else contextlib.nullcontext()
-        self._cap = None
+        self.cap = None
         if math.isfinite(params.cutoff):
-            self._cap = int(params.cutoff) * params.intervals_per_window
+            self.cap = int(params.cutoff) * params.intervals_per_window
         self.flows: dict[int, Flow] = {}
         self.pending: dict[int, list[tuple[int, bytes]]] = {}  # data ahead of its flow's open
         self._offered_flows: list[int] = []
         self._offered_sizes: list[int] = []
-        self._outbox: deque[bytes] = deque()
+        self._outbox: list[bytes] = []
         self._control = Flow(CONTROL_FLOW)
         self._control_rx = bytearray()  # the start of a control line still arriving
+        self.closing = False
         self.bye_sent = False
         self.stats = {
             "ticks": 0,
@@ -97,26 +89,21 @@ class TunnelSession:
         }
         self.tick_stats: list[tuple[int, int, int, int, int]] = []
 
-    def snapshot(self) -> list[Flow]:
-        with self.lock:
-            return list(self.flows.values())
-
     # --- application side ---
 
     def open_flow(self, dst_host: str, dst_port: int, io: Any = None) -> Flow | None:
         """Register a local flow towards a destination; None when every flow slot is taken."""
-        with self.lock:
-            flow_id = next((i for i in range(1, self.flows_max + 1) if i not in self.flows), None)
-            if flow_id is None:
-                self.stats["flows_rejected"] += 1
-                return None
-            flow = self.flows[flow_id] = Flow(flow_id, io)
+        flow_id = next((i for i in range(1, self.flows_max + 1) if i not in self.flows), None)
+        if flow_id is None:
+            self.stats["flows_rejected"] += 1
+            return None
+        flow = self.flows[flow_id] = Flow(flow_id, io)
         self._send_control({"op": "open", "flow": flow_id, "dst_host": dst_host, "dst_port": dst_port})
         return flow
 
     def offer(self, flow: Flow, data: bytes) -> bool:
         """Take application bytes for the next tick; False, taking nothing, at the flow's cap."""
-        if self._cap is not None and len(flow.buffer) + len(data) > self._cap:
+        if self.cap is not None and len(flow.buffer) + len(data) > self.cap:
             return False
         flow.buffer += data
         self._offered_flows.append(flow.flow_id)
@@ -133,19 +120,17 @@ class TunnelSession:
         self._send_control({"op": "close", "flow": flow.flow_id, "mode": "rst", "reason": reason})
 
     def close(self) -> None:
-        """Queue the session's bye, once."""
-        if not self.bye_sent:
-            self._send_control({"op": "bye"})
-            self.bye_sent = True
+        """Close the session: its bye is queued once every flow has queued its FIN or been reset."""
+        self.closing = True
 
     @property
     def done(self) -> bool:
-        """The bye is queued and the shaper and the control stream are empty.
+        """The bye is queued, and nothing waits in the outbox, the control stream or the shaper.
 
-        Read after the tick that took the bye, the bye has left. Control
-        messages queued since, such as that tick's FIN, are not counted (ROADMAP item 1).
+        Read after a tick, the bye and every FIN queued before it have left.
         """
-        return self.bye_sent and not self._control.buffer and self.shaper.queued_total == 0
+        waiting = self._outbox or self._control.buffer or self.shaper.queued_total
+        return self.bye_sent and not waiting
 
     def _send_control(self, message: dict) -> None:
         self._outbox.append(json.dumps(message, sort_keys=True).encode() + b"\n")
@@ -164,12 +149,12 @@ class TunnelSession:
         flows, self._offered_flows = self._offered_flows, []
         sizes, self._offered_sizes = self._offered_sizes, []
         times = [now - interval] * len(sizes)
-        while self._outbox:
-            message = self._outbox.popleft()
+        for message in self._outbox:
             self._control.buffer += message
             times.append(now)
             flows.append(CONTROL_FLOW)
             sizes.append(len(message))
+        self._outbox.clear()
         self.shaper.extend(times, flows, sizes)
         buf = self.shaper.shaping_step(now)
         self._expire(buf.flushed)
@@ -201,31 +186,35 @@ class TunnelSession:
             per_flow[span.flow_id] = per_flow.get(span.flow_id, 0) + span.length
         data = []
         control = None
+        dummy = buf.dummy
         for flow_id, total in per_flow.items():
             flow = self._control if flow_id == CONTROL_FLOW else self.flows[flow_id]
-            with memoryview(flow.buffer) as view:
-                body = bytes(view[:total])
-            del flow.buffer[:total]
-            if flow is self._control:
-                control = (flow.tx_offset, body)
+            if flow.rst:  # its stream may have a hole, so none of it leaves as data
+                dummy += total
             else:
-                data.append((flow_id, flow.tx_offset, body))
+                with memoryview(flow.buffer) as view:
+                    body = bytes(view[:total])
+                if flow is self._control:
+                    control = (flow.tx_offset, body)
+                else:
+                    data.append((flow_id, flow.tx_offset, body))
+            del flow.buffer[:total]
             flow.tx_offset += total
-        return build_frames(data, control, buf.dummy)
+        return build_frames(data, control, dummy)
 
     def _progress_closes(self) -> list[Flow]:
-        # The tick's owner is the sole owner of the shaper, so a flow's queued
-        # bytes never vanish under a running step.
         ended = []
-        for flow in self.snapshot():
+        for flow in list(self.flows.values()):
             if not flow.rst and flow.tx_eof and not flow.fin_sent and not flow.buffer:
                 flow.fin_sent = True
                 self._send_control({"op": "close", "flow": flow.flow_id, "mode": "fin"})
             if flow.rst or (flow.fin_sent and flow.fin_rcvd):
                 self.shaper.discard_flow(flow.flow_id)
-                with self.lock:
-                    self.flows.pop(flow.flow_id, None)
+                del self.flows[flow.flow_id]
                 ended.append(flow)
+        if self.closing and not self.bye_sent and all(f.fin_sent or f.rst for f in self.flows.values()):
+            self._send_control({"op": "bye"})
+            self.bye_sent = True
         return ended
 
     # --- receive ---
@@ -286,8 +275,7 @@ class TunnelSession:
         op = msg["op"]
         if op == "open":
             flow = Flow(int(msg["flow"]))
-            with self.lock:
-                self.flows[flow.flow_id] = flow
+            self.flows[flow.flow_id] = flow
             events.append(("open", flow, msg["dst_host"], int(msg["dst_port"])))
             for offset, body in sorted(self.pending.pop(flow.flow_id, [])):
                 self._deliver(flow, offset, body, events)

@@ -278,3 +278,4 @@ def test_tunnel_processes_pipe_and_sigint(tmp_path):
     for name, (code, stdout, stderr) in outs.items():
         assert code == 0, f"{name} exited {code}: {stderr[-2000:]}"
         assert "tick k=" in stdout
+        assert "payload=" not in stdout and "dummy=" not in stdout

@@ -101,16 +101,58 @@ def test_malformed_ticks_count_integrity_errors():
 
 def test_bye_reaches_the_peer_and_the_session_finishes():
     cfg = make_cfg()
-    a, b = session_pair(cfg, ForcedNoise(1e6), ForcedNoise(0.0))
-    for _ in range(cfg.flows_max):
-        assert a.open_flow("dst", 7) is not None
+    a, b = session_pair(cfg, ForcedNoise(1e6, 1e6, 1e6), ForcedNoise(0.0))
+    flows = [a.open_flow("dst", 7) for _ in range(cfg.flows_max)]
+    assert None not in flows
     assert a.open_flow("dst", 7) is None and a.stats["flows_rejected"] == 1
-    assert not a.done
     a.close()
-    a.close()  # the bye goes once
     _, _, events = carry(a, b, 1)
-    assert [event[0] for event in events] == ["open"] * cfg.flows_max + ["bye"]
+    assert [event[0] for event in events] == ["open"] * cfg.flows_max  # the bye waits for every FIN
+    for flow in flows:
+        a.app_eof(flow)
+    a.close()  # the bye goes once
+    assert carry(a, b, 2)[2] == [] and not a.done  # this tick queues the FINs, then the bye
+    _, _, events = carry(a, b, 3)
+    assert [event[0] for event in events] == ["eof"] * cfg.flows_max + ["bye"]
     assert a.done
+
+
+def test_fin_leaves_before_the_bye():
+    # The closing tick queues the flow's FIN; done used to read True while it
+    # still waited in the outbox, so it never left.
+    cfg = make_cfg()
+    a, b = session_pair(cfg, ForcedNoise(*[1e6] * 4), ForcedNoise(0.0))
+    flow = a.open_flow("dst", 7)
+    kinds = [event[0] for event in carry(a, b, 1)[2]]
+    assert a.offer(flow, bytes(100))
+    a.close()
+    a.app_eof(flow)
+    for k in range(2, 5):
+        if a.done:
+            break
+        kinds += [event[0] for event in carry(a, b, k)[2]]
+    assert a.done and not a._outbox
+    assert kinds == ["open", "data", "eof", "bye"]
+
+
+def test_bytes_behind_a_ttl_drop_never_reach_the_peer():
+    # W/T = 2 and dp_len 0 on ticks 2-3: tick 4 expires the "A" bytes, offered
+    # before tick 2, and takes the "B" bytes behind them. Those used to arrive
+    # as data at the flow's stale offset, a silent gap; they leave as dummy.
+    cfg = make_cfg(window_ms=20, cutoff=100_000.0)
+    a, b = session_pair(cfg, ForcedNoise(0.0, -1e9, -1e9, 0.0, 0.0, 0.0), ForcedNoise(*[0.0] * 6))
+    flow = a.open_flow("dst", 7)
+    seen = []
+    for k in range(1, 7):
+        if k in (2, 3):
+            assert a.offer(flow, b"AB"[k - 2 : k - 1] * 1000)
+        wire, _, events = carry(a, b, k)
+        assert wire == a.codec_tx.wire_bytes_for_tick(a.tick_stats[-1][1])
+        seen += [(kind, *rest) for kind, _, *rest in events if kind != "open"]
+        carry(b, a, k)
+    assert seen == [("eof",)]
+    assert a.stats["ttl_drops"] == 1000 and a.tick_stats[3][1:4] == (1000, 1000, 0)
+    assert b.stats["dummy_rx"] == 1000 and b.stats["integrity_errors"] == 0
 
 
 def test_ttl_drop_resets_the_flow_on_both_sides():

@@ -1,9 +1,12 @@
 """Live two-endpoint tunnel tests on loopback."""
 
+import gc
 import json
 import logging
+import random
 import socket
 import statistics
+import struct
 import threading
 import time
 
@@ -13,6 +16,7 @@ from netshaper.dpcore import DpParams
 from netshaper.errors import AuthError, ParameterMismatch, SessionError
 from netshaper.tunnel.config import TunnelConfig
 from netshaper.tunnel import records
+from netshaper.tunnel import endpoint as endpoint_module
 from netshaper.tunnel.endpoint import TunnelEndpoint, _send_pieces
 from netshaper.tunnel.records import Hello, RecordCodec
 
@@ -128,9 +132,9 @@ def stop_pair(*endpoints):
         ep.stop()
 
 
-def open_flow(connect_cfg, sink_port, privacy_descriptor=None):
+def open_flow(connect_cfg, sink_port, privacy_descriptor=None, dst_host="127.0.0.1"):
     sock = socket.create_connection(connect_cfg.app_listen_addr, timeout=10)
-    request = {"dst_host": "127.0.0.1", "dst_port": sink_port, "reliability": True}
+    request = {"dst_host": dst_host, "dst_port": sink_port, "reliability": True}
     if privacy_descriptor is not None:
         request["privacy_descriptor"] = privacy_descriptor
     sock.sendall(json.dumps(request).encode() + b"\n")
@@ -149,6 +153,20 @@ def wait_for(predicate, timeout=20.0, interval=0.02):
 
 
 @pytest.fixture
+def frozen_heap():
+    """Keep the rest of the suite's objects out of the collector while a test times ticks.
+
+    A full collection scans every tracked object in the process, and after
+    the property tests that takes tens of milliseconds on whichever thread
+    triggers it, an endpoint's loop included.
+    """
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.fixture
 def sink():
     server = SinkServer()
     yield server
@@ -159,8 +177,6 @@ def test_loopback_integrity_1mb(sink):
     serve_cfg, connect_cfg = make_cfg_pair()
     serve, connect = start_pair(serve_cfg, connect_cfg)
     try:
-        import random
-
         payload = random.Random(7).randbytes(1_000_000)
         sock, response = open_flow(connect_cfg, sink.port, privacy_descriptor={"epsilon": 5})
         assert response == {"ok": True, "flow_id": 1}
@@ -329,22 +345,113 @@ def test_stop_after_a_transfer_logs_no_transmit_error(sink, caplog):
     assert [r for r in caplog.records if "transmit worker stopped" in r.getMessage()] == []
 
 
+def workers(endpoint) -> int:
+    return sum(t.name.startswith(f"{endpoint.role}-") for t in threading.enumerate())
+
+
 def test_threads_do_not_pile_up_over_many_flows(sink):
     params = make_params(interval_ms=10, window_ms=1000)
     serve_cfg, connect_cfg = make_cfg_pair(params=params, t_prep_ms=5, t_enq_ms=2)
     serve, connect = start_pair(serve_cfg, connect_cfg)
     try:
-        for _ in range(50):
-            sock, response = open_flow(connect_cfg, sink.port)
-            assert response["ok"]
-            sock.sendall(b"x")
-            sock.close()
+        idle = [workers(serve), workers(connect)]
+        assert idle == [3, 3]  # the loop, transmit and receive workers
+        for round_ in range(1, 4):
+            socks = []
+            for _ in range(connect_cfg.flows_max):
+                sock, response = open_flow(connect_cfg, sink.port)
+                assert response["ok"]
+                sock.sendall(b"x")
+                socks.append(sock)
+            assert wait_for(lambda: len(sink.conns) == round_ * connect_cfg.flows_max)
+            assert len(serve.flows) == len(connect.flows) == connect_cfg.flows_max
+            assert [workers(serve), workers(connect)] == idle
+            for sock in socks:
+                sock.close()
             assert wait_for(lambda: not connect.flows and not serve.flows)
-        # the endpoint's own loops, the last flow's register, reader and
-        # writer threads, and those of the flow before it, still finishing
-        assert len(connect._threads) <= 10
-        assert len(serve._threads) <= 10
     finally:
+        stop_pair(serve, connect)
+
+
+def test_an_application_that_stops_reading_stalls_only_its_flow(sink, caplog):
+    # The stuck destination accepts but never reads: once the kernel buffers
+    # and cutoff x W/T = 2 MB wait for it, its flow is reset. The other flow
+    # still arrives whole. Flow 1 sends at about half the cutoff rate, so no
+    # byte waits out the TTL on the way.
+    params = make_params(interval_ms=20, window_ms=200, delta_w=1000.0, cutoff=200_000.0)
+    serve_cfg, connect_cfg = make_cfg_pair(params=params)
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    stuck = socket.create_server(("127.0.0.1", 0))
+    pushed = []
+
+    def push(sock):
+        try:
+            while sum(pushed) < 64 << 20:
+                sock.sendall(bytes(65536))
+                pushed.append(65536)
+                time.sleep(0.012)
+        except OSError:
+            pass
+
+    try:
+        sock1, response = open_flow(connect_cfg, stuck.getsockname()[1])
+        assert response["flow_id"] == 1
+        stuck.settimeout(10)
+        held, _ = stuck.accept()
+        pusher = threading.Thread(target=push, args=(sock1,), daemon=True)
+        pusher.start()
+        time.sleep(0.3)
+        sock2, response = open_flow(connect_cfg, sink.port)
+        assert response["flow_id"] == 2
+        payload = random.Random(3).randbytes(200_000)
+        sock2.sendall(payload)
+        sock2.close()
+        assert wait_for(lambda: sink.done and sink.done[0].is_set())
+        assert bytes(sink.conns[0]) == payload
+        assert wait_for(lambda: 1 not in serve.flows and 1 not in connect.flows)
+        pusher.join(10)
+        assert not pusher.is_alive()
+        assert sum(pushed) > serve.session.cap
+        assert any("flow 1: stalled" in r.getMessage() for r in caplog.records)
+        assert serve.stats["ttl_drops"] == connect.stats["ttl_drops"] == 0
+        held.close()
+        sock1.close()
+    finally:
+        stuck.close()
+        stop_pair(serve, connect)
+
+
+def test_a_hanging_destination_connect_stalls_nothing_else(sink, frozen_heap):
+    # A listener with a full accept backlog: the destination's SYNs go
+    # unanswered, and the serve side's connect to it stays in progress.
+    params = make_params(interval_ms=20, window_ms=2000)
+    serve_cfg, connect_cfg = make_cfg_pair(params=params, t_prep_ms=10)
+    serve, connect = start_pair(serve_cfg, connect_cfg)
+    hang, filler = full_backlog_listener()
+    try:
+        sock1, response = open_flow(connect_cfg, hang.getsockname()[1])
+        assert response["flow_id"] == 1
+        sock1.sendall(b"waits for the connect")
+        assert wait_for(lambda: 1 in serve.flows)
+        marks = [len(serve.handoff_offsets), len(connect.handoff_offsets)]
+        payload = random.Random(4).randbytes(1_000_000)
+        sock2, response = open_flow(connect_cfg, sink.port)
+        assert response["flow_id"] == 2
+        for start in range(0, len(payload), 50_000):  # over about a second
+            sock2.sendall(payload[start : start + 50_000])
+            time.sleep(0.05)
+        sock2.close()
+        assert wait_for(lambda: sink.done and sink.done[0].is_set(), timeout=5)
+        assert bytes(sink.conns[0]) == payload
+        assert 1 in serve.flows and serve.flows[1].io.deadline is not None  # still connecting
+        limit = (serve_cfg.t_prep + params.interval) / 1e9
+        for endpoint, mark in zip((serve, connect), marks):
+            offsets = endpoint.handoff_offsets[mark:]
+            assert len(offsets) > 10 and max(offsets) <= limit
+        sock1.close()
+    finally:
+        filler.close()
+        hang.close()
         stop_pair(serve, connect)
 
 
@@ -412,6 +519,110 @@ def test_unreachable_destination_resets_flow():
         assert wait_for(lambda: not connect.flows)
         assert connect.shaper.queued(1) == 0
         sock.close()
+    finally:
+        stop_pair(serve, connect)
+
+
+@pytest.mark.parametrize("host, port", [("localhost", None), ("127.0.0.1", 65536 + 9)])
+def test_a_destination_must_be_a_numeric_address_and_port(sink, host, port):
+    # A name lookup would block the far endpoint's loop, and getaddrinfo takes
+    # a port modulo 65536; either way the far side resets the flow.
+    serve, connect = start_pair(*make_cfg_pair())
+    try:
+        sock, response = open_flow(connect.cfg, port or sink.port, dst_host=host)
+        assert response == {"ok": True, "flow_id": 1}
+        assert wait_for(lambda: not connect.flows and not serve.flows)
+        assert sink.conns == []
+        sock.close()
+    finally:
+        stop_pair(serve, connect)
+
+
+def full_backlog_listener():
+    """A listener whose accept queue is full, so a connect to it hangs; and the connection filling it."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(0)
+    return listener, socket.create_connection(listener.getsockname(), timeout=5)
+
+
+def test_a_destination_that_never_answers_is_reset(monkeypatch):
+    monkeypatch.setattr(endpoint_module, "OPEN_TIMEOUT", 1.0)
+    serve, connect = start_pair(*make_cfg_pair())
+    hang, filler = full_backlog_listener()
+    try:
+        sock, response = open_flow(connect.cfg, hang.getsockname()[1])
+        assert response["flow_id"] == 1
+        assert wait_for(lambda: 1 in serve.flows)
+        assert wait_for(lambda: not connect.flows and not serve.flows, timeout=5)
+        sock.close()
+        # A flow reset while its connect is still in progress takes its socket along.
+        sock, response = open_flow(connect.cfg, hang.getsockname()[1])
+        assert wait_for(lambda: 1 in serve.flows)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert wait_for(lambda: not serve.flows and not serve._ios and not connect._ios, timeout=0.9)
+    finally:
+        filler.close()
+        hang.close()
+        stop_pair(serve, connect)
+
+
+def test_bad_registrations_are_answered_and_closed(sink, monkeypatch):
+    monkeypatch.setattr(endpoint_module, "OPEN_TIMEOUT", 0.5)
+    serve, connect = start_pair(*make_cfg_pair())
+    app_addr = connect.cfg.app_listen_addr
+    cases = [
+        (b"", "registration timed out"),
+        (b"x" * (endpoint_module.LINE_MAX + 1), "registration line too long"),
+        (b"not json\n", "bad registration"),
+        (b'{"dst_host": "127.0.0.1"}\n', "bad registration"),
+        (b'{"dst_host": "127.0.0.1", "dst_port": 1, "reliability": false}\n', "unreliable mode"),
+    ]
+    try:
+        for line, error in cases:
+            with socket.create_connection(app_addr, timeout=10) as sock:
+                sock.sendall(line)
+                reply = json.loads(sock.makefile("rb").readline())
+                assert reply["ok"] is False and error in reply["error"]
+        for abort in (False, True):  # an application that leaves mid-line, or resets
+            sock = socket.create_connection(app_addr, timeout=10)
+            sock.sendall(b'{"dst_host": ')
+            if abort:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+        assert wait_for(lambda: not connect._ios)
+        assert not connect.flows and connect.stats["flows_rejected"] == 0
+    finally:
+        stop_pair(serve, connect)
+
+
+def test_bytes_sent_with_the_registration_line_arrive(sink):
+    serve, connect = start_pair(*make_cfg_pair())
+    try:
+        sock = socket.create_connection(connect.cfg.app_listen_addr, timeout=10)
+        request = {"dst_host": "127.0.0.1", "dst_port": sink.port}
+        sock.sendall(json.dumps(request).encode() + b"\nsent with the line, ")
+        assert json.loads(sock.makefile("rb").readline()) == {"ok": True, "flow_id": 1}
+        sock.sendall(b"then the rest")
+        sock.close()
+        assert wait_for(lambda: sink.done and sink.done[0].is_set())
+        assert bytes(sink.conns[0]) == b"sent with the line, then the rest"
+    finally:
+        stop_pair(serve, connect)
+
+
+def test_an_application_reset_resets_its_flow(sink):
+    serve, connect = start_pair(*make_cfg_pair())
+    try:
+        sock, response = open_flow(connect.cfg, sink.port)
+        sock.sendall(b"before the reset")
+        assert wait_for(lambda: sink.conns and bytes(sink.conns[0]) == b"before the reset")
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        assert wait_for(lambda: not connect.flows and not serve.flows)
+        assert wait_for(lambda: sink.done[0].is_set())  # the destination's connection ends too
+        assert wait_for(lambda: not connect._ios and not serve._ios)
     finally:
         stop_pair(serve, connect)
 
