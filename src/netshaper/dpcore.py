@@ -73,15 +73,6 @@ class PrivacyReport:
     delta_total: float
     alpha_star: float
 
-    def as_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "queries": self.queries,
-            "epsilon_total": self.epsilon_total,
-            "delta_total": self.delta_total,
-            "alpha_star": self.alpha_star,
-        }
-
 
 def gaussian_sigma(delta_w: float, epsilon: float, delta: float) -> float:
     """Classical single-query Gaussian calibration.

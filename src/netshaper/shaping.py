@@ -9,9 +9,9 @@ are a function of configuration only, never of queue contents.
 
 Expiry and dequeue only ever remove a prefix of the arrival order, so the
 FIFO is arrival-order lists with a cursor, cut by bisection and compacted as
-it goes. Next to the FIFO the shaper keeps a running total and one byte
-counter per flow. The tunnel reads the counters for its per-flow cap and
-uses ``discard_flow`` to tear a flow down.
+it goes. Next to the FIFO the shaper keeps only a running total. A step's
+departures are slices of those lists, not one object per span; the tunnel
+totals them per flow and uses ``discard_flow`` to tear a flow down.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress
-from operator import gt
+from operator import gt, not_
 from typing import NamedTuple, Sequence
 
 from .dpcore import DpParams, sample_gaussian
@@ -40,12 +40,37 @@ class PayloadSpan(NamedTuple):
 _span = partial(tuple.__new__, PayloadSpan)  # a PayloadSpan from one (flow, length, time) tuple
 
 
+class Departures:
+    """A step's departed spans as read-only columns: iterate as ``PayloadSpan``s, equal their tuple."""
+
+    __slots__ = ("flows", "lengths", "times")
+
+    def __init__(self, flows: list[int], lengths: list[int], times: list[int]):
+        self.flows, self.lengths, self.times = flows, lengths, times
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        return map(_span, zip(self.flows, self.lengths, self.times))
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, Departures) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+_EMPTY = Departures([], [], [])
+
+
 @dataclass(frozen=True)
 class ShapedBuffer:
     """Per-interval output: the noisy length split into payload and dummy.
 
-    ``flushed`` holds the spans the TTL expired this interval (``drops``
-    bytes in total). ``queue_len`` is the exact queued total the noisy query
+    ``payload`` holds the spans that leave, ``flushed`` those the TTL
+    expired this interval (``drops`` bytes in total); the shaper passes both
+    as ``Departures``. ``queue_len`` is the exact queued total the noisy query
     measured (after TTL expiry, before dequeue); kept for accounting and
     tests only, it never reaches the wire. ``payload_bytes`` totals the
     spans; the shaper passes it, a buffer built without it sums them once.
@@ -53,10 +78,10 @@ class ShapedBuffer:
 
     interval_index: int
     dp_len: int
-    payload: tuple[PayloadSpan, ...]
+    payload: Departures | tuple[PayloadSpan, ...]
     dummy: int
     drops: int
-    flushed: tuple[PayloadSpan, ...] = ()
+    flushed: Departures | tuple[PayloadSpan, ...] = ()
     queue_len: int = 0
     payload_bytes: int | None = None
 
@@ -80,14 +105,14 @@ def dp_query(q_len: int, params: DpParams, sigma: float, rng: random.Random) -> 
 
 
 class Shaper:
-    """Single-owner shaping state: one cursor FIFO with per-flow counters, plus the schedule.
+    """Single-owner shaping state: one cursor FIFO and its byte total, plus the schedule.
 
     The FIFO is four parallel lists in arrival order: enqueue time, flow,
     bytes left, and the byte offset just past each span. Times do not
     decrease; a byte enqueued at t survives through exactly t + window.
     ``_head`` is the first span with bytes left, ``_gone`` the offset of the
     first queued byte. After a step that leaves q spans queued, the lists
-    hold at most q + max(COMPACT_MIN, q) spans.
+    hold at most q + max(COMPACT_MIN, q) spans; ``Departures`` are slices of them.
 
     Exactly one execution context may call shaping_step; producers hand
     bytes in through enqueue or extend (or an external channel drained by
@@ -104,7 +129,6 @@ class Shaper:
         self._sizes: list[int] = []
         self._ends: list[int] = []
         self._head = self._gone = 0
-        self._flow_bytes: dict[int, int] = {}
         self.queued_total = 0
         self.last_interval: int | None = None
         self.bytes_in = 0
@@ -113,7 +137,8 @@ class Shaper:
 
     def queued(self, flow_id: int) -> int:
         """Bytes of ``flow_id`` waiting in the FIFO."""
-        return self._flow_bytes.get(flow_id, 0)
+        head = self._head
+        return sum(n for flow, n in zip(self._flows[head:], self._sizes[head:]) if flow == flow_id)
 
     def enqueue(self, flow_id: int, n: int, now: int) -> None:
         self.extend([now], [flow_id], [n])
@@ -134,18 +159,15 @@ class Shaper:
         self._times.extend(times)
         self._flows.extend(flows)
         self._sizes.extend(sizes)
-        flow_bytes = self._flow_bytes
-        for flow, n in zip(flows, sizes):
-            flow_bytes[flow] = flow_bytes.get(flow, 0) + n
         self.queued_total += self._ends[-1] - base
         self.bytes_in += self._ends[-1] - base
 
     def discard_flow(self, flow_id: int) -> int:
         """Remove every queued byte of ``flow_id``; return how many there were."""
-        n = self._flow_bytes.pop(flow_id, 0)
+        head = self._head
+        kept = [flow != flow_id for flow in self._flows[head:]]
+        n = sum(compress(self._sizes[head:], map(not_, kept)))
         if n:
-            head = self._head
-            kept = [flow != flow_id for flow in self._flows[head:]]
             columns = (self._times, self._flows, self._sizes)
             self._times, self._flows, self._sizes = (list(compress(c[head:], kept)) for c in columns)
             self._ends = list(accumulate(self._sizes, initial=self._gone))[1:]
@@ -154,23 +176,20 @@ class Shaper:
             self.bytes_dropped += n
         return n
 
-    def _cut(self, stop: int) -> list[PayloadSpan]:
-        """Remove the queued bytes before offset ``stop``; return them as spans."""
+    def _cut(self, stop: int) -> Departures:
+        """Remove the queued bytes before offset ``stop``; return them as columns."""
         head, gone, ends = self._head, self._gone, self._ends
         last = bisect_left(ends, stop, head)  # the span that holds byte stop - 1
         j = last + 1
-        spans = list(map(_span, zip(self._flows[head:j], self._sizes[head:j], self._times[head:j])))
+        lengths = self._sizes[head:j]
         rest = ends[last] - stop
         if rest:  # the last span leaves in part
-            spans[-1] = spans[-1]._replace(length=spans[-1].length - rest)
+            lengths[-1] -= rest
             self._sizes[last] = rest
-        flow_bytes = self._flow_bytes
-        for flow, n, _ in spans:
-            flow_bytes[flow] -= n
         self._head = last if rest else j
         self._gone = stop
         self.queued_total -= stop - gone
-        return spans
+        return Departures(self._flows[head:j], lengths, self._times[head:j])
 
     def shaping_step(self, now: int) -> ShapedBuffer:
         """Run one interval: flush expired, query with noise, dequeue, pad.
@@ -188,14 +207,14 @@ class Shaper:
 
         gone = self._gone
         expired = bisect_left(self._times, now - self.params.window, self._head)
-        flushed = self._cut(self._ends[expired - 1]) if expired > self._head else ()
+        flushed = self._cut(self._ends[expired - 1]) if expired > self._head else _EMPTY
         drops = self._gone - gone
         self.bytes_dropped += drops
 
         q_len = self.queued_total
         dp_len = dp_query(q_len, self.params, self.sigma, self.rng)
         taken = min(dp_len, q_len)
-        payload = self._cut(self._gone + taken) if taken else ()
+        payload = self._cut(self._gone + taken) if taken else _EMPTY
         self.bytes_out += taken
 
         head = self._head
@@ -203,6 +222,4 @@ class Shaper:
             for column in (self._times, self._flows, self._sizes, self._ends):
                 del column[:head]
             self._head = 0
-        return ShapedBuffer(
-            index, dp_len, tuple(payload), dp_len - taken, drops, tuple(flushed), q_len, taken
-        )
+        return ShapedBuffer(index, dp_len, payload, dp_len - taken, drops, flushed, q_len, taken)

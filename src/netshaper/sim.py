@@ -142,9 +142,9 @@ def simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     rounded down to a boundary and runs one full window past the last packet
     so every byte is delivered or dropped.
 
-    The run makes no reference cycles, but its many objects would make the
-    cyclic collector walk all the caller holds again and again. So the call
-    pauses it, process-wide, then runs the young pass it put off (if the
+    The run makes no reference cycles, but its per-tick lists and buffers would
+    make the cyclic collector walk all the caller holds again and again. So the
+    call pauses it, process-wide, then runs the young pass it put off (if the
     caller had it on) and restores the caller's setting, also on a raise.
     """
     enabled = gc.isenabled()
@@ -199,11 +199,13 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
             shaper.extend(times[fed:cut], arrival_flows[fed:cut], sizes[fed:cut])
             fed = cut
         shaped.append(shaper.shaping_step(start + j * interval))
-    lat_lengths = [span.length for buf in shaped for span in buf.payload]
-    lat_waits = [
-        now - span.enqueue_time
-        for buf in shaped for now in [buf.interval_index * interval] for span in buf.payload
-    ]
+    # Byte-weighted waits, span by span in departure order, from the payload columns.
+    payloads = [buf.payload for buf in shaped]
+    counts = np.fromiter(map(len, payloads), np.int64, len(payloads))
+    spans = int(counts.sum())
+    lat_lengths = np.fromiter(chain.from_iterable(p.lengths for p in payloads), np.int64, spans)
+    departed = np.repeat(start + interval * np.arange(1, ticks + 1, dtype=np.int64), counts)
+    lat_waits = departed - np.fromiter(chain.from_iterable(p.times for p in payloads), np.int64, spans)
 
     dummy_total = sum(b.dummy for b in shaped)
     in_total = sum(payload_in.values())
@@ -211,11 +213,7 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     per_flow: dict[int, float | None] = {}
     for flow in payload_in:
         per_flow[flow] = (dummy_total / flows) / payload_in[flow] if payload_in[flow] else None
-    latency = (
-        _latency_stats(np.asarray(lat_lengths, dtype=np.int64), np.asarray(lat_waits, dtype=np.int64))
-        if lat_lengths
-        else None
-    )
+    latency = _latency_stats(lat_lengths, lat_waits) if spans else None
     return SimResult(
         shaped=tuple(shaped),
         start=start,

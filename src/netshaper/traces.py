@@ -90,11 +90,6 @@ class BurstVector:
         if any(v < 0 for v in self.values):
             raise ValueError("burst values must be non-negative")
 
-    def l1(self, other: "BurstVector") -> int:
-        if self.interval != other.interval or len(self.values) != len(other.values):
-            raise ValueError("burst vectors are not comparable")
-        return sum(abs(a - b) for a, b in zip(self.values, other.values))
-
 
 def parse_trace(source: str | os.PathLike | IO, fmt: str = "csv") -> Stream:
     """Parse a packet trace into a sorted Stream.
@@ -239,9 +234,6 @@ class DistanceTable:
     p90: int
     p99: int
     max: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {"pairs": self.pairs, "p50": self.p50, "p90": self.p90, "p99": self.p99, "max": self.max}
 
 
 def _nearest_rank(sorted_values: Sequence[int], percentile: float) -> int:

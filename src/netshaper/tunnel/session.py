@@ -170,20 +170,20 @@ class TunnelSession:
         # Expired spans are the oldest, so their bytes sit at the front of the
         # flow buffer; discard them before this tick's payload is extracted.
         # Teardown waits until the tick's frames are built.
-        for span in flushed:
-            if span.flow_id == CONTROL_FLOW:
+        for flow_id, n in zip(flushed.flows, flushed.lengths):
+            if flow_id == CONTROL_FLOW:
                 raise SessionError("control stream bytes expired in the queue")
-            flow = self.flows[span.flow_id]
-            del flow.buffer[: span.length]
-            self.stats["ttl_drops"] += span.length
+            flow = self.flows[flow_id]
+            del flow.buffer[:n]
+            self.stats["ttl_drops"] += n
             if not flow.rst:
                 log.warning("flow %d lost bytes to the TTL, resetting", flow.flow_id)
                 self.reset(flow, "ttl")
 
     def _frames(self, buf):
         per_flow: dict[int, int] = {}
-        for span in buf.payload:
-            per_flow[span.flow_id] = per_flow.get(span.flow_id, 0) + span.length
+        for flow_id, n in zip(buf.payload.flows, buf.payload.lengths):
+            per_flow[flow_id] = per_flow.get(flow_id, 0) + n
         data = []
         control = None
         dummy = buf.dummy

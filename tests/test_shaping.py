@@ -8,7 +8,7 @@ import pytest
 from _support import ForcedNoise, make_neighbor_pair, run_shaper
 from netshaper.dpcore import DpParams
 from netshaper.errors import SchedulingError
-from netshaper.shaping import COMPACT_MIN, PayloadSpan, ShapedBuffer, Shaper, dp_query
+from netshaper.shaping import COMPACT_MIN, Departures, PayloadSpan, ShapedBuffer, Shaper, dp_query
 
 PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500, cutoff=10_000)
 
@@ -159,6 +159,36 @@ def test_shaped_buffer_rejects_inconsistent_split():
         ShapedBuffer(1, 300, (PayloadSpan(1, 100, 0),), 100, 0)
     with pytest.raises(ValueError):
         ShapedBuffer(1, 50, (PayloadSpan(1, 100, 0),), -50, 0)
+
+
+def test_departures_read_as_a_tuple_of_spans():
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper.extend([0, 0, 5], [1, 2, 1], [100, 50, 20])
+    buf = step_with_noise(shaper, 100, 120 - 170)  # flow 2's span leaves in part
+    spans = (PayloadSpan(1, 100, 0), PayloadSpan(2, 20, 0))
+    assert isinstance(buf.payload, Departures) and len(buf.payload) == 2
+    assert [type(s) for s in buf.payload] == [PayloadSpan, PayloadSpan]
+    assert buf.payload == spans and hash(buf.payload) == hash(spans)
+    assert buf.payload == Departures([1, 2], [100, 20], [0, 0])
+    assert buf.payload != spans[:1] and buf.payload != list(spans)
+    assert buf.flushed == () and len(buf.flushed) == 0
+    # a buffer built from a tuple of spans equals the shaper's, and still checks its split
+    assert ShapedBuffer(1, 120, spans, 0, 0, (), 170) == buf
+    with pytest.raises(ValueError):
+        ShapedBuffer(1, 100, spans, 0, 0)
+
+
+def test_queued_and_discard_count_what_is_left_of_a_split_span():
+    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper.enqueue(1, 100, 0)
+    shaper.enqueue(2, 50, 1)
+    shaper.enqueue(1, 10, 2)
+    buf = step_with_noise(shaper, 100, 30 - 160)  # 30 of flow 1's first 100 bytes leave
+    assert [tuple(s) for s in buf.payload] == [(1, 30, 0)]
+    assert (shaper.queued(1), shaper.queued(2), shaper.queued_total) == (80, 50, 130)
+    assert shaper.discard_flow(1) == 80
+    assert (shaper.queued(1), shaper.queued(2), shaper.queued_total) == (0, 50, 50)
+    assert shaper.bytes_dropped == 80 and shaper.discard_flow(1) == 0
 
 
 def test_interleaved_flows_leave_in_arrival_order():

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 
+import numpy as np
 import pytest
 
 from _support import as_stream
@@ -62,8 +63,8 @@ def test_collector_paused_only_for_the_call(monkeypatch):
     result = simulate([stream], SimConfig(PARAMS, seed=1))
     young = gc.get_count()[0]  # read before anything here allocates
     assert gc.isenabled() and seen and not any(seen)
-    # the young pass the pause put off ran inside the call: over 2000 new
-    # spans, yet no collection is due
+    # the young pass the pause put off ran inside the call: over 2000
+    # spans left in new lists, yet no collection is due
     assert sum(len(b.payload) for b in result.shaped) > 2000
     assert young < gc.get_threshold()[0]
     with pytest.raises(ConfigError):
@@ -254,3 +255,27 @@ def test_latency_stats_are_byte_weighted():
     assert math.isclose(
         result.latency.mean, (99_000 * 9 * MS + 1_000 * 8 * MS) / 100_000, rel_tol=1e-12
     )
+
+
+def test_latency_matches_the_span_by_span_formula():
+    # Several flows past the cutoff, so the TTL drops bytes and spans leave
+    # across two ticks; the waits come from the payload columns, and must
+    # equal the old reading of the departed spans one by one.
+    rng = random.Random(22)
+    params = DpParams(1.0, 1e-6, 5_000.0, interval=10 * MS, window=30 * MS, cutoff=6_000)
+    streams = [
+        as_stream(sorted((rng.randrange(200 * MS), rng.randint(1, 1500)) for _ in range(60)), flow)
+        for flow in range(4)
+    ]
+    result = simulate(streams, SimConfig(params, seed=5, sigma=1_500.0))
+    assert result.drops_bytes > 0
+    heads = [(buf.payload.flows[0], buf.payload.times[0]) for buf in result.shaped[1:] if buf.payload]
+    tails = [(buf.payload.flows[-1], buf.payload.times[-1]) for buf in result.shaped if buf.payload]
+    assert set(heads) & set(tails)  # a span whose bytes left in two ticks
+    lengths = [span.length for buf in result.shaped for span in buf.payload]
+    waits = [
+        buf.interval_index * result.interval - span.enqueue_time
+        for buf in result.shaped for span in buf.payload
+    ]
+    want = sim_module._latency_stats(np.asarray(lengths, dtype=np.int64), np.asarray(waits, dtype=np.int64))
+    assert result.latency == want
