@@ -92,13 +92,42 @@ def sample_gaussian(sigma: float, rng: random.Random) -> float:
     Uses the generator's Box-Muller transform (``random.Random.gauss``), which
     is rejection-free, so draws are a fixed function of the underlying uniform
     stream; a given seed always yields the same sequence. sigma == 0 returns
-    exactly 0.0.
+    exactly 0.0. The tunnel draws here once per tick; the simulator, which
+    knows its tick count, takes all of a run's draws from ``gaussian_draws``.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0:
         return 0.0
     return rng.gauss(0.0, sigma)
+
+
+def gaussian_draws(sigma: float, rng: random.Random, n: int) -> list[float]:
+    """``n`` successive ``sample_gaussian(sigma, rng)`` draws, bit for bit, in one pass.
+
+    Leaves ``rng`` as those calls would, ``gauss_next`` included. One
+    ``getrandbits`` call gives the uniforms: its 32-bit words are the
+    generator's outputs, least significant first, made into ``random()``'s
+    53-bit floats. numpy does Box-Muller's correctly rounded steps (products,
+    sums, square root); log, cos and sin go through ``math`` as in ``gauss``,
+    as numpy's may differ in the last ulp. sigma == 0 consumes nothing.
+    """
+    if sigma < 0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    if sigma == 0 or not n:
+        return [0.0] * n
+    import numpy as np  # here, so that a tunnel process never loads it
+
+    cached = [] if rng.gauss_next is None else [rng.gauss_next]  # gauss's unused sine value
+    pairs = (n - len(cached) + 1) // 2
+    words = np.frombuffer(rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"), "<u4")
+    u = ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+    x2pi = (u[0::2] * (2.0 * math.pi)).tolist()
+    g2rad = np.sqrt(-2.0 * np.fromiter(map(math.log, (1.0 - u[1::2]).tolist()), float, pairs))
+    cos, sin = (np.fromiter(map(f, x2pi), float, pairs) * g2rad for f in (math.cos, math.sin))
+    z = np.concatenate((cached, np.column_stack((cos, sin)).ravel()))
+    rng.gauss_next = float(z[n]) if len(z) > n else None
+    return (0.0 + z[:n] * sigma).tolist()
 
 
 def rdp_epsilon_gaussian(delta_w: float, sigma: float, alpha: float) -> float:
@@ -156,8 +185,8 @@ def sigma_for_budget(
     Bisects on sigma to within ``rel_tol`` relative tolerance; the returned
     value always satisfies compose_to_dp(...) <= epsilon_target.
     """
-    if epsilon_target <= 0:
-        raise ConfigError(f"epsilon budget must be > 0, got {epsilon_target}")
+    if not 0 < epsilon_target < math.inf:
+        raise ConfigError(f"epsilon budget must be finite and > 0, got {epsilon_target}")
     if queries < 1:
         raise ConfigError(f"query count must be >= 1, got {queries}")
 
@@ -168,10 +197,8 @@ def sigma_for_budget(
     while loss(hi) > epsilon_target:
         hi *= 2.0
     lo = hi / 2.0
-    while loss(lo) <= epsilon_target:
+    while loss(lo) <= epsilon_target:  # stops: the loss grows without bound as sigma falls
         lo /= 2.0
-        if lo < 1e-300:
-            return hi
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if loss(mid) <= epsilon_target:

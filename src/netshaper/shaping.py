@@ -11,21 +11,21 @@ Expiry and dequeue only ever remove a prefix of the arrival order, so the
 FIFO is arrival-order lists with a cursor, cut by bisection and compacted as
 it goes. Next to the FIFO the shaper keeps only a running total. A step's
 departures are slices of those lists, not one object per span; the tunnel
-totals them per flow and uses ``discard_flow`` to tear a flow down.
+totals them per flow and uses ``discard_flow`` to tear a flow down. A step's
+noise is the next value of the shaper's ``noise`` source: the tunnel's
+per-tick ``sample_gaussian``, or the simulator's ``gaussian_draws`` list.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress
 from operator import gt, not_
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .dpcore import DpParams, sample_gaussian
+from .dpcore import DpParams
 from .errors import SchedulingError
 
 COMPACT_MIN = 1024  # spans; the consumed prefix is deleted only past this length
@@ -64,18 +64,7 @@ class Departures:
 _EMPTY = Departures([], [], [])
 
 
-@dataclass(frozen=True)
-class ShapedBuffer:
-    """Per-interval output: the noisy length split into payload and dummy.
-
-    ``payload`` holds the spans that leave, ``flushed`` those the TTL
-    expired this interval (``drops`` bytes in total); the shaper passes both
-    as ``Departures``. ``queue_len`` is the exact queued total the noisy query
-    measured (after TTL expiry, before dequeue); kept for accounting and
-    tests only, it never reaches the wire. ``payload_bytes`` totals the
-    spans; the shaper passes it, a buffer built without it sums them once.
-    """
-
+class _ShapedFields(NamedTuple):
     interval_index: int
     dp_len: int
     payload: Departures | tuple[PayloadSpan, ...]
@@ -85,23 +74,42 @@ class ShapedBuffer:
     queue_len: int = 0
     payload_bytes: int | None = None
 
-    def __post_init__(self):
-        if self.payload_bytes is None:
-            object.__setattr__(self, "payload_bytes", sum(s.length for s in self.payload))
-        if self.payload_bytes + self.dummy != self.dp_len:
-            raise ValueError("payload + dummy must equal dp_len")
-        if self.dummy < 0:
-            raise ValueError("dummy must be >= 0")
 
+class ShapedBuffer(_ShapedFields):
+    """Per-interval output, an immutable tuple: the noisy length split into payload and dummy.
 
-def dp_query(q_len: int, params: DpParams, sigma: float, rng: random.Random) -> int:
-    """Noisy measurement of the queue length, clamped to [0, cutoff], whole bytes.
-
-    Rounds half-up; sub-byte precision has no wire meaning.
+    ``payload`` holds the spans that leave, ``flushed`` those the TTL
+    expired this interval (``drops`` bytes in total); the shaper passes both
+    as ``Departures``. ``queue_len`` is the exact queued total the noisy query
+    measured (after TTL expiry, before dequeue); kept for accounting and
+    tests only, it never reaches the wire. ``payload_bytes`` totals the
+    spans; the shaper passes it, a buffer built without it sums them once.
     """
-    noisy = q_len + sample_gaussian(sigma, rng)
-    clamped = min(max(noisy, 0.0), params.cutoff)
-    return int(math.floor(clamped + 0.5))
+
+    __slots__ = ()
+
+    def __new__(cls, interval_index, dp_len, payload, dummy, drops, flushed=(), queue_len=0,
+                payload_bytes=None):
+        if payload_bytes is None:
+            payload_bytes = sum(s.length for s in payload)
+        if payload_bytes + dummy != dp_len:
+            raise ValueError("payload + dummy must equal dp_len")
+        if dummy < 0:
+            raise ValueError("dummy must be >= 0")
+        fields = (interval_index, dp_len, payload, dummy, drops, flushed, queue_len, payload_bytes)
+        return tuple.__new__(cls, fields)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+
+def dp_query(q_len: int, noise: float, cutoff: float) -> int:
+    """The noisy queue length ``q_len + noise``, clamped to [0, cutoff], in whole bytes.
+
+    Rounds half-up; sub-byte precision has no wire meaning. Conditionals, not
+    min and max: this runs once per tick.
+    """
+    noisy = q_len + noise
+    return math.floor((noisy if noisy < cutoff else cutoff) + 0.5) if noisy > 0.0 else 0
 
 
 class Shaper:
@@ -117,13 +125,12 @@ class Shaper:
     Exactly one execution context may call shaping_step; producers hand
     bytes in through enqueue or extend (or an external channel drained by
     the owner) before the step runs. ``bytes_dropped`` counts bytes lost to
-    the TTL and bytes removed by ``discard_flow``.
+    the TTL and bytes removed by ``discard_flow``. ``noise()`` draws N(0, sigma^2).
     """
 
-    def __init__(self, params: DpParams, sigma: float, rng: random.Random):
+    def __init__(self, params: DpParams, noise: Callable[[], float]):
         self.params = params
-        self.sigma = sigma
-        self.rng = rng
+        self.noise = noise
         self._times: list[int] = []
         self._flows: list[int] = []
         self._sizes: list[int] = []
@@ -212,8 +219,8 @@ class Shaper:
         self.bytes_dropped += drops
 
         q_len = self.queued_total
-        dp_len = dp_query(q_len, self.params, self.sigma, self.rng)
-        taken = min(dp_len, q_len)
+        dp_len = dp_query(q_len, self.noise(), self.params.cutoff)
+        taken = dp_len if dp_len < q_len else q_len
         payload = self._cut(self._gone + taken) if taken else _EMPTY
         self.bytes_out += taken
 

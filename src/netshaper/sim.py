@@ -15,11 +15,12 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .dpcore import DpParams, gaussian_sigma
+from .dpcore import DpParams, gaussian_draws, gaussian_sigma
 from .errors import ConfigError
 from .shaping import ShapedBuffer, Shaper
 from .traces import Stream
@@ -37,8 +38,8 @@ class SimConfig:
     scaling; ``per_flow_cutoff`` (bytes) replaces params.cutoff either scaled
     by the flow count ("scaled", treats the flow count as public) or as given
     ("fixed"). ``sigma`` overrides the per-query calibration derived from
-    params. ``horizon`` (ns) extends the run past the last packet; required
-    when the input carries no packets at all.
+    params. ``horizon`` (ns, at least 1) extends the run past the last packet;
+    required when the input carries no packets at all.
     """
 
     params: DpParams
@@ -58,6 +59,8 @@ class SimConfig:
             raise ConfigError("per-flow cutoff must be > 0")
         if self.sigma is not None and self.sigma < 0:
             raise ConfigError("sigma must be >= 0")
+        if self.horizon is not None and self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1 ns, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,9 @@ def simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     Stream i feeds flow i. Bytes arriving during an interval become eligible
     at the next boundary; the clock starts at the earliest packet timestamp
     rounded down to a boundary and runs one full window past the last packet
-    so every byte is delivered or dropped.
+    so every byte is delivered or dropped. Every tick's noise comes from one
+    ``gaussian_draws`` call on ``random.Random(cfg.seed)`` made up front: the
+    values one ``sample_gaussian`` call per tick would give.
 
     The run makes no reference cycles, but its per-tick lists and buffers would
     make the cyclic collector walk all the caller holds again and again. So the
@@ -191,7 +196,7 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     # cuts[j - 1]: the arrivals before tick j's boundary
     cuts = np.searchsorted(sorted_times, start + interval * np.arange(1, ticks + 1)).tolist()
 
-    shaper = Shaper(params, sigma, random.Random(cfg.seed))
+    shaper = Shaper(params, iter(gaussian_draws(sigma, random.Random(cfg.seed), ticks)).__next__)
     shaped: list[ShapedBuffer] = []
     fed = 0
     for j, cut in enumerate(cuts, 1):
@@ -200,19 +205,19 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
             fed = cut
         shaped.append(shaper.shaping_step(start + j * interval))
     # Byte-weighted waits, span by span in departure order, from the payload columns.
-    payloads = [buf.payload for buf in shaped]
-    counts = np.fromiter(map(len, payloads), np.int64, len(payloads))
+    payloads = list(map(attrgetter("payload"), shaped))
+    departed_lengths = list(map(attrgetter("lengths"), payloads))
+    counts = np.fromiter(map(len, departed_lengths), np.int64, ticks)
     spans = int(counts.sum())
-    lat_lengths = np.fromiter(chain.from_iterable(p.lengths for p in payloads), np.int64, spans)
+    lat_lengths = np.fromiter(chain.from_iterable(departed_lengths), np.int64, spans)
     departed = np.repeat(start + interval * np.arange(1, ticks + 1, dtype=np.int64), counts)
-    lat_waits = departed - np.fromiter(chain.from_iterable(p.times for p in payloads), np.int64, spans)
+    lat_times = chain.from_iterable(map(attrgetter("times"), payloads))
+    lat_waits = departed - np.fromiter(lat_times, np.int64, spans)
 
-    dummy_total = sum(b.dummy for b in shaped)
+    dummy_total = sum(map(attrgetter("dummy"), shaped))
     in_total = sum(payload_in.values())
-    drops_total = sum(b.drops for b in shaped)
-    per_flow: dict[int, float | None] = {}
-    for flow in payload_in:
-        per_flow[flow] = (dummy_total / flows) / payload_in[flow] if payload_in[flow] else None
+    drops_total = sum(map(attrgetter("drops"), shaped))
+    per_flow = {flow: (dummy_total / flows) / n if n else None for flow, n in payload_in.items()}
     latency = _latency_stats(lat_lengths, lat_waits) if spans else None
     return SimResult(
         shaped=tuple(shaped),

@@ -11,9 +11,10 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
-from ..dpcore import gaussian_sigma
+from ..dpcore import gaussian_sigma, sample_gaussian
 from ..errors import SessionError
 from ..shaping import Shaper
 from .config import TunnelConfig
@@ -63,7 +64,7 @@ class TunnelSession:
         params = cfg.params
         self.flows_max = cfg.flows_max
         sigma = gaussian_sigma(params.delta_w, params.epsilon_t, params.delta_t)
-        self.shaper = Shaper(params, sigma, rng)
+        self.shaper = Shaper(params, partial(sample_gaussian, sigma, rng))
         self.codec_tx = RecordCodec(tx_key, cfg.mtu, cfg.flows_max)
         self.codec_rx = RecordCodec(rx_key, cfg.mtu, cfg.flows_max, params.cutoff)
         self.cap = None

@@ -4,20 +4,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from netshaper.dpcore import DpParams
+from netshaper.dpcore import DpParams, sample_gaussian
 from netshaper.shaping import ShapedBuffer, Shaper
 from netshaper.traces import PacketRecord, Stream
 
 
 class ForcedNoise:
-    """Stands in for random.Random with a scripted noise sequence."""
+    """A scripted noise sequence: a shaper's noise source, or a random.Random to its gauss."""
 
     def __init__(self, *values):
         self.values = list(values)
 
-    def gauss(self, mu, sigma):
+    def __call__(self):
         return self.values.pop(0)
+
+    def gauss(self, mu, sigma):
+        return self()
 
 
 @dataclass
@@ -89,7 +93,7 @@ def run_shaper(
     interval, window = params.interval, params.window
     horizon = (max(t for t, _ in points) if points else 0) + window
     ticks = ticks if ticks is not None else horizon // interval + 2
-    shaper = Shaper(params, sigma, random.Random(seed))
+    shaper = Shaper(params, partial(sample_gaussian, sigma, random.Random(seed)))
     arrivals = sorted(points)
     i = 0
     out = []

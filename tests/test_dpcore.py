@@ -2,12 +2,14 @@
 
 import math
 import random
+from array import array
 
 import pytest
 
 from netshaper.dpcore import (
     DpParams,
     compose_to_dp,
+    gaussian_draws,
     gaussian_sigma,
     rdp_epsilon_gaussian,
     sample_gaussian,
@@ -35,6 +37,16 @@ def test_params_validation():
         DpParams(1.0, 1e-6, -1.0, interval=1_000, window=2_000)
     with pytest.raises(ConfigError):
         DpParams(1.0, 1e-6, 1.0, interval=1_000, window=2_000, cutoff=0)
+
+
+def test_domain_errors_of_params_sampler_and_composer():
+    with pytest.raises(ConfigError):
+        DpParams(1.0, 1e-6, 1.0, interval=0, window=2_000)
+    with pytest.raises(ConfigError):
+        sample_gaussian(-1.0, random.Random(1))
+    for args in ((1.0, 1.0, -1, 1e-6), (1.0, 1.0, 5, 0.0), (1.0, 0.0, 5, 1e-6)):
+        with pytest.raises(ConfigError):
+            compose_to_dp(*args)
 
 
 # --- gaussian_sigma ---
@@ -89,6 +101,55 @@ def test_sample_moments():
     var = sum((d - mean) ** 2 for d in draws) / n
     assert abs(mean) < 1.0
     assert abs(math.sqrt(var) - 100.0) < 1.0
+
+
+# --- gaussian_draws ---
+
+# At the smallest subnormal sigma, z * sigma rounds to -0.0 for small negative z,
+# and gauss returns 0.0 + (-0.0) = +0.0 there.
+DRAW_SIGMAS = (1.0, 0.37, 25_000.0, 5e-324)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000, 60_000])
+def test_gaussian_draws_are_gauss_bit_for_bit(n):
+    # 24 seeds, each sigma on six of them; odd seeds enter with gauss's
+    # spare value cached, so odd and even n each leave it set and unset.
+    for seed in range(24):
+        sigma = DRAW_SIGMAS[seed // 2 % len(DRAW_SIGMAS)]
+        ref, rng = random.Random(seed), random.Random(seed)
+        if seed % 2:
+            ref.gauss()
+            rng.gauss()
+            assert rng.gauss_next is not None
+        want = [ref.gauss(0.0, sigma) for _ in range(n)]
+        got = gaussian_draws(sigma, rng, n)
+        assert type(got) is list and set(map(type, got)) <= {float}
+        assert array("d", got).tobytes() == array("d", want).tobytes()  # bit for bit
+        assert rng.getstate() == ref.getstate()  # gauss_next included
+        assert rng.gauss() == ref.gauss()
+
+
+def test_gaussian_draws_match_sample_gaussian():
+    ref, rng = random.Random(11), random.Random(11)
+    assert gaussian_draws(40.0, rng, 9) == [sample_gaussian(40.0, ref) for _ in range(9)]
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_gaussian_draws_at_zero_sigma_consume_nothing(cached):
+    rng = random.Random(3)
+    if cached:
+        rng.gauss()
+    state = rng.getstate()
+    draws = gaussian_draws(0.0, rng, 1000)
+    assert array("d", draws).tobytes() == bytes(8000)  # +0.0, not -0.0
+    assert gaussian_draws(0.0, rng, 0) == [] and gaussian_draws(5.0, rng, 0) == []
+    assert rng.getstate() == state
+
+
+def test_gaussian_draws_reject_negative_sigma():
+    with pytest.raises(ConfigError):
+        gaussian_draws(-1.0, random.Random(1), 3)
 
 
 # --- rdp_epsilon_gaussian ---
@@ -204,6 +265,21 @@ def test_sigma_budget_domain_errors():
         sigma_for_budget(1.0, 0.0, 1e-6, 5)
     with pytest.raises(ConfigError):
         sigma_for_budget(1.0, 1.0, 1e-6, 0)
+
+
+def test_sigma_budget_rejects_an_unbounded_budget():
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            sigma_for_budget(1.0, eps, 1e-6, 5)
+
+
+def test_sigma_budget_below_half_the_classical_sigma():
+    # At delta near 1 the classical sigma is over twice the smallest one
+    # within budget, so the search first halves its lower end.
+    sigma = sigma_for_budget(1.0, 0.01, 0.999, 1)
+    assert sigma < gaussian_sigma(1.0, 0.01, 0.999) / 2
+    assert compose_to_dp(1.0, sigma, 1, 0.999).epsilon_total <= 0.01
+    assert compose_to_dp(1.0, sigma * (1 - 2e-3), 1, 0.999).epsilon_total > 0.01
 
 
 # --- tamaraw_gamma_bound ---

@@ -32,7 +32,7 @@ queue_ops = st.lists(
 @settings(deadline=None, max_examples=200)
 @given(queue_ops)
 def test_queue_matches_reference_model(ops):
-    shaper = Shaper(PARAMS, 1.0, None)
+    shaper = Shaper(PARAMS, None)
     model: list[list[int]] = []  # [enqueue_time, remaining]
     t = now = 0
     for op, arg, dt in ops:
@@ -52,7 +52,7 @@ def test_queue_matches_reference_model(ops):
             continue
         now = (max(t, now) // PARAMS.interval + dt) * PARAMS.interval
         t = now
-        shaper.rng = ForcedNoise(arg - shaper.queued_total)
+        shaper.noise = ForcedNoise(arg - shaper.queued_total)
         buf = shaper.shaping_step(now)
         keep = [m for m in model if m[0] >= now - PARAMS.window]
         assert buf.drops == sum(m[1] for m in model) - sum(m[1] for m in keep)

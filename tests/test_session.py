@@ -2,6 +2,7 @@
 
 import ast
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from _support import ForcedNoise
 from test_frames import feeder
-from netshaper.dpcore import DpParams
+from netshaper.dpcore import DpParams, gaussian_sigma, sample_gaussian
 from netshaper.errors import SessionError
 from netshaper.shaping import Shaper
 from netshaper.tunnel.config import TunnelConfig
@@ -97,6 +98,16 @@ def test_malformed_ticks_count_integrity_errors():
     # the forged tick, the short one, the data and control offsets, the two bad lines
     assert session.stats["integrity_errors"] == 6
     assert session.stats["dummy_rx"] == 5 and session.stats["payload_rx"] == 0
+
+
+def test_offer_at_the_cap_is_refused_whole():
+    a, _ = session_pair(make_cfg(), random.Random(1), random.Random(2))
+    flow = a.open_flow("dst", 7)
+    assert a.cap == 3000 * 3  # cutoff x W/T
+    assert a.offer(flow, b"x" * (a.cap - 1))
+    assert not a.offer(flow, b"yz")
+    assert len(flow.buffer) == a.cap - 1 and a._offered_sizes == [a.cap - 1]
+    assert a.offer(flow, b"y")
 
 
 def test_bye_reaches_the_peer_and_the_session_finishes():
@@ -212,11 +223,14 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
     cfg = make_cfg()
     interval = cfg.params.interval
     a, b = session_pair(cfg, random.Random(seed), random.Random(seed + 1))
-    reference = Shaper(cfg.params, a.shaper.sigma, random.Random(seed))
+    p = cfg.params
+    sigma = gaussian_sigma(p.delta_w, p.epsilon_t, p.delta_t)
+    reference = Shaper(p, partial(sample_gaussian, sigma, random.Random(seed)))
     flows = [a.open_flow("dst", 7) for _ in range(3)]
     sent = {flow.flow_id: bytearray() for flow in flows}
     got = {flow.flow_id: bytearray() for flow in flows}
     dropped = set()
+    lost = 0  # bytes a reset flow dequeued: they leave as dummy
     for k, offers in enumerate(ticks + [[]] * 8, start=1):
         arrivals = []
         for index, size in offers:
@@ -240,6 +254,8 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
             with pytest.raises(SessionError):
                 a.tick(k)
             return
+        reset = {f.flow_id for f in a.flows.values() if f.rst} | {s.flow_id for s in expected.flushed}
+        lost += sum(span.length for span in expected.payload if span.flow_id in reset)
         drops = a.stats["ttl_drops"]
         wire, ended, events = carry(a, b, k)
         _, dp_len, payload, dummy, _ = a.tick_stats[-1]
@@ -263,4 +279,4 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
         if flow_id not in dropped:
             assert got[flow_id] == data
     queued = sum(len(flow.buffer) for flow in a.flows.values())
-    assert sum(map(len, sent.values())) == b.stats["payload_rx"] + a.shaper.bytes_dropped + queued
+    assert sum(map(len, sent.values())) == b.stats["payload_rx"] + a.shaper.bytes_dropped + queued + lost

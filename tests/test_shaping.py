@@ -1,12 +1,16 @@
 """FIFO and shaping step tests."""
 
 import math
+import pickle
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _support import ForcedNoise, make_neighbor_pair, run_shaper
-from netshaper.dpcore import DpParams
+from netshaper.dpcore import DpParams, sample_gaussian
 from netshaper.errors import SchedulingError
 from netshaper.shaping import COMPACT_MIN, Departures, PayloadSpan, ShapedBuffer, Shaper, dp_query
 
@@ -18,12 +22,12 @@ PARAMS = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500, cutoff=10_000)
 
 def step_with_noise(shaper: Shaper, now: int, noise: float) -> ShapedBuffer:
     """One shaping step whose noise draw is ``noise``."""
-    shaper.rng = ForcedNoise(noise)
+    shaper.noise = ForcedNoise(noise)
     return shaper.shaping_step(now)
 
 
 def test_enqueue_totals():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     shaper.enqueue(1, 100, 0)
     assert shaper.queued_total == shaper.queued(1) == 100
     shaper.enqueue(1, 200, 5)
@@ -37,7 +41,7 @@ def test_enqueue_totals():
 def test_enqueue_rejects_bad_sizes_and_times():
     # enqueue and a one-span extend enforce the same rules
     for add in (Shaper.enqueue, lambda shaper, flow, n, t: shaper.extend([t], [flow], [n])):
-        shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+        shaper = Shaper(PARAMS, ForcedNoise())
         with pytest.raises(ValueError):
             add(shaper, 1, 0, 0)
         add(shaper, 1, 10, 100)
@@ -64,7 +68,7 @@ def test_enqueue_rejects_bad_sizes_and_times():
 
 def test_flush_boundaries():
     window = PARAMS.window
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     shaper.enqueue(1, 500, 1000)
     buf = step_with_noise(shaper, 1000 + window, -1e9)  # aged exactly W survives
     assert buf.flushed == () and buf.drops == 0 and buf.queue_len == 500
@@ -77,7 +81,7 @@ def test_flush_boundaries():
 
 def test_queue_matches_list_model():
     rng = random.Random(99)
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     model: list[list[int]] = []  # [enqueue_time, remaining]
     t = now = 0
     for _ in range(3000):
@@ -110,27 +114,37 @@ def test_queue_matches_list_model():
 
 
 def test_dp_query_zero_sigma_is_identity():
-    assert dp_query(100, PARAMS, 0.0, random.Random(1)) == 100
+    assert dp_query(100, sample_gaussian(0.0, random.Random(1)), PARAMS.cutoff) == 100
 
 
 def test_dp_query_clamps_below_zero():
-    assert dp_query(100, PARAMS, 1.0, ForcedNoise(-200.0)) == 0
+    assert dp_query(100, -200.0, PARAMS.cutoff) == 0
 
 
 def test_dp_query_clamps_at_cutoff():
-    assert dp_query(100, PARAMS, 1.0, ForcedNoise(1e9)) == PARAMS.cutoff
+    assert dp_query(100, 1e9, PARAMS.cutoff) == PARAMS.cutoff
 
 
 def test_dp_query_rounds_half_up():
-    assert dp_query(100, PARAMS, 1.0, ForcedNoise(0.5)) == 101
-    assert dp_query(100, PARAMS, 1.0, ForcedNoise(0.49)) == 100
-    assert dp_query(100, PARAMS, 1.0, ForcedNoise(-0.5)) == 100
+    assert dp_query(100, 0.5, PARAMS.cutoff) == 101
+    assert dp_query(100, 0.49, PARAMS.cutoff) == 100
+    assert dp_query(100, -0.5, PARAMS.cutoff) == 100
+
+
+@given(
+    st.integers(0, 10**7),
+    st.floats(-1e8, 1e8),
+    st.sampled_from([1.0, 250.0, 2500.7, 10_000, math.inf]),
+)
+def test_dp_query_clamps_then_rounds_half_up(q_len, noise, cutoff):
+    want = math.floor(min(max(q_len + noise, 0.0), cutoff) + 0.5)
+    assert dp_query(q_len, noise, cutoff) == want
 
 
 def test_dp_query_empirical_mean():
     rng = random.Random(4242)
     n = 100_000
-    total = sum(dp_query(1000, DpParams(1.0, 1e-6, 1.0, 100, 500), 100.0, rng) for _ in range(n))
+    total = sum(dp_query(1000, sample_gaussian(100.0, rng), math.inf) for _ in range(n))
     assert abs(total / n - 1000) < 2.0
 
 
@@ -138,7 +152,7 @@ def test_dp_query_empirical_mean():
 
 
 def test_prepare_zero_length():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-1e9))
+    shaper = Shaper(PARAMS, ForcedNoise(-1e9))
     shaper.enqueue(1, 100, 0)
     buf = shaper.shaping_step(100)
     assert (buf.dp_len, buf.payload, buf.dummy) == (0, (), 0)
@@ -146,7 +160,7 @@ def test_prepare_zero_length():
 
 
 def test_prepare_pads_with_dummy():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise(200.0))
+    shaper = Shaper(PARAMS, ForcedNoise(200.0))
     shaper.enqueue(7, 100, 0)
     buf = shaper.shaping_step(100)
     assert buf.payload_bytes == 100
@@ -161,8 +175,34 @@ def test_shaped_buffer_rejects_inconsistent_split():
         ShapedBuffer(1, 50, (PayloadSpan(1, 100, 0),), -50, 0)
 
 
+def test_shaped_buffer_is_immutable():
+    buf = ShapedBuffer(1, 300, (PayloadSpan(1, 100, 0),), 200, 0)
+    with pytest.raises(AttributeError):
+        buf.dummy = 0
+    with pytest.raises(AttributeError):
+        buf.note = "x"
+    assert buf.dummy == 200 and buf == (1, 300, (PayloadSpan(1, 100, 0),), 200, 0, (), 0, 100)
+
+
+def test_shaped_buffer_without_payload_bytes_sums_its_spans():
+    spans = (PayloadSpan(1, 100, 0), PayloadSpan(2, 30, 5))
+    buf = ShapedBuffer(4, 150, spans, 20, 0)
+    assert (buf.payload_bytes, buf.flushed, buf.queue_len) == (130, (), 0)
+    assert ShapedBuffer(4, 150, Departures([1, 2], [100, 30], [0, 5]), 20, 0) == buf
+
+
+def test_shaped_buffer_replace_make_and_pickle_check_the_split():
+    buf = ShapedBuffer(1, 300, (PayloadSpan(1, 100, 0),), 200, 0)
+    assert buf._replace(dp_len=400, dummy=300).payload_bytes == 100
+    with pytest.raises(ValueError):
+        buf._replace(dummy=150)
+    with pytest.raises(ValueError):
+        ShapedBuffer._make((1, 50, (), -50, 0, (), 0, 0))
+    assert pickle.loads(pickle.dumps(buf)) == buf
+
+
 def test_departures_read_as_a_tuple_of_spans():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     shaper.extend([0, 0, 5], [1, 2, 1], [100, 50, 20])
     buf = step_with_noise(shaper, 100, 120 - 170)  # flow 2's span leaves in part
     spans = (PayloadSpan(1, 100, 0), PayloadSpan(2, 20, 0))
@@ -179,7 +219,7 @@ def test_departures_read_as_a_tuple_of_spans():
 
 
 def test_queued_and_discard_count_what_is_left_of_a_split_span():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     shaper.enqueue(1, 100, 0)
     shaper.enqueue(2, 50, 1)
     shaper.enqueue(1, 10, 2)
@@ -194,7 +234,7 @@ def test_queued_and_discard_count_what_is_left_of_a_split_span():
 def test_interleaved_flows_leave_in_arrival_order():
     # Flow 1 at t = 0 and 10, flow 2 at t = 5, budget 200: flow 2's span is
     # older than flow 1's second one, so it leaves first.
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-100.0))
+    shaper = Shaper(PARAMS, ForcedNoise(-100.0))
     shaper.enqueue(1, 100, 0)
     shaper.enqueue(2, 100, 5)
     shaper.enqueue(1, 100, 10)
@@ -205,7 +245,7 @@ def test_interleaved_flows_leave_in_arrival_order():
 
 
 def test_equal_times_leave_in_enqueue_order():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise(-150.0))
+    shaper = Shaper(PARAMS, ForcedNoise(-150.0))
     shaper.enqueue(3, 100, 0)
     shaper.enqueue(1, 100, 0)
     shaper.enqueue(2, 100, 0)
@@ -215,7 +255,7 @@ def test_equal_times_leave_in_enqueue_order():
 
 def test_discard_flow_removes_exactly_that_flow():
     rng = random.Random(5)
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     spans = []
     for t in range(0, 90, 3):
         flow, n = rng.randint(1, 4), rng.randint(1, 1000)
@@ -244,7 +284,7 @@ class FifoModel:
         flushed = [tuple(s) for s in self.spans if s[0] < deadline]
         self.spans = [s for s in self.spans if s[0] >= deadline]
         q_len = sum(s[2] for s in self.spans)
-        dp_len = dp_query(q_len, self.params, 1.0, ForcedNoise(noise))
+        dp_len = dp_query(q_len, noise, self.params.cutoff)
         payload, budget = [], dp_len
         while budget and self.spans:
             take = min(budget, self.spans[0][2])
@@ -266,7 +306,8 @@ def test_shaper_matches_list_model(seed):
     params = DpParams(1.0, 1e-6, 500.0, interval=100, window=rng.choice([100, 300, 700]),
                       cutoff=rng.choice([400, 2_000, math.inf]))
     flows = list(range(rng.randint(2, 6)))
-    shaper = Shaper(params, 0.0 if seed % 4 == 0 else 1.0, ForcedNoise())
+    sigma = 0.0 if seed % 4 == 0 else 1.0
+    shaper = Shaper(params, ForcedNoise())
     model = FifoModel(params)
     for k in range(1, 150):
         now = k * 100
@@ -279,8 +320,8 @@ def test_shaper_matches_list_model(seed):
                 for t, flow, n in arrivals:
                     shaper.enqueue(flow, n, t)
             model.spans.extend(map(list, arrivals))
-        noise = 0.0 if shaper.sigma == 0 else rng.choice([-1e9, 1e9, rng.gauss(0, 300)])
-        shaper.rng = ForcedNoise(noise)
+        noise = 0.0 if sigma == 0 else rng.choice([-1e9, 1e9, rng.gauss(0, 300)])
+        shaper.noise = ForcedNoise(noise)
         buf = shaper.shaping_step(now)
         want = model.step(now, noise)
         got = (buf.dp_len, tuple(map(tuple, buf.payload)), buf.dummy, buf.drops,
@@ -298,7 +339,7 @@ def test_compaction_keeps_the_fifo_and_bounds_its_lists():
     # the queued spans plus max(COMPACT_MIN, queued spans).
     rng = random.Random(8)
     params = DpParams(1.0, 1e-6, 500.0, interval=100, window=100_000, cutoff=math.inf)
-    shaper = Shaper(params, 1.0, ForcedNoise())
+    shaper = Shaper(params, ForcedNoise())
     model = FifoModel(params)
 
     def feed(t, count):
@@ -327,7 +368,7 @@ def test_compaction_keeps_the_fifo_and_bounds_its_lists():
 
 
 def test_discard_flow_after_a_split_head():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise())
+    shaper = Shaper(PARAMS, ForcedNoise())
     shaper.enqueue(1, 100, 0)
     shaper.enqueue(2, 100, 5)
     shaper.enqueue(1, 50, 6)
@@ -350,7 +391,7 @@ def test_discard_flow_after_a_split_head():
 
 
 def test_step_all_dummy_when_idle():
-    shaper = Shaper(PARAMS, 1.0, ForcedNoise(500.0))
+    shaper = Shaper(PARAMS, ForcedNoise(500.0))
     buf = shaper.shaping_step(100)
     assert buf.dp_len == 500
     assert buf.payload == ()
@@ -359,7 +400,7 @@ def test_step_all_dummy_when_idle():
 
 def test_step_passthrough_with_zero_noise():
     params = DpParams(1.0, 1e-6, 1000.0, interval=100, window=500)
-    shaper = Shaper(params, 0.0, random.Random(0))
+    shaper = Shaper(params, partial(sample_gaussian, 0.0, random.Random(0)))
     for k in range(1, 20):
         shaper.enqueue(1, 100, (k - 1) * 100 + 10)
         buf = shaper.shaping_step(k * 100)
@@ -369,7 +410,7 @@ def test_step_passthrough_with_zero_noise():
 
 
 def test_step_rejects_replayed_interval():
-    shaper = Shaper(PARAMS, 0.0, random.Random(0))
+    shaper = Shaper(PARAMS, partial(sample_gaussian, 0.0, random.Random(0)))
     shaper.shaping_step(100)
     with pytest.raises(SchedulingError):
         shaper.shaping_step(100)
@@ -379,7 +420,7 @@ def test_step_rejects_replayed_interval():
 
 def test_step_deterministic_under_seed():
     def run(seed):
-        shaper = Shaper(PARAMS, 300.0, random.Random(seed))
+        shaper = Shaper(PARAMS, partial(sample_gaussian, 300.0, random.Random(seed)))
         out = []
         rng = random.Random(1)
         for k in range(1, 50):
@@ -395,7 +436,7 @@ def test_step_deterministic_under_seed():
 def test_step_conservation_and_ttl():
     rng = random.Random(31337)
     params = DpParams(1.0, 1e-6, 500.0, interval=100, window=700, cutoff=2_000)
-    shaper = Shaper(params, 150.0, random.Random(5))
+    shaper = Shaper(params, partial(sample_gaussian, 150.0, random.Random(5)))
     enqueued = 0
     for k in range(1, 200):
         now = k * 100

@@ -5,13 +5,18 @@ import gc
 import math
 import random
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _support import as_stream
-from netshaper.dpcore import DpParams
+from netshaper.dpcore import DpParams, sample_gaussian
 import netshaper.sim as sim_module
 from netshaper.errors import ConfigError
+from netshaper.shaping import Shaper
 from netshaper.sim import SimConfig, intervals_to_csv, overhead_sweep, simulate, sweep_to_csv
 from netshaper.traces import windowed_repr
 
@@ -47,6 +52,53 @@ def test_empty_stream_reports_absolute_dummy():
 def test_empty_stream_without_horizon_rejected():
     with pytest.raises(ConfigError):
         simulate([as_stream([])], SimConfig(PARAMS, seed=3))
+
+
+@pytest.mark.parametrize("horizon", [0, -5_000 * MS])
+def test_horizon_below_one_ns_rejected(horizon):
+    # else a stream with no packets and a negative horizon runs one tick
+    with pytest.raises(ConfigError):
+        SimConfig(PARAMS, seed=3, horizon=horizon)
+
+
+# Up to three flows of (time, size) packets over about 40 ticks of 100 ns.
+FLOW_POINTS = st.lists(
+    st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 900)), max_size=30), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=80)
+@given(
+    points=FLOW_POINTS,
+    window_ticks=st.integers(1, 4),
+    sigma=st.sampled_from([0.0, 40.0, 400.0, 3000.0]),
+    cutoff=st.sampled_from([250.0, 1200.0, math.inf]),
+    horizon=st.none() | st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_a_step_by_step_shaper(points, window_ticks, sigma, cutoff, horizon, seed):
+    # simulate draws a run's noise up front; a plain Shaper that draws once
+    # per step from random.Random(seed) must shape every tick the same way.
+    params = DpParams(1.0, 1e-6, 500.0, interval=100, window=100 * window_ticks, cutoff=cutoff)
+    if not any(points) and horizon is None:
+        horizon = 1000
+    streams = [as_stream(sorted(p), flow) for flow, p in enumerate(points)]
+    result = simulate(streams, SimConfig(params, seed=seed, sigma=sigma, horizon=horizon))
+    arrivals = sorted((t, flow, n) for flow, p in enumerate(points) for t, n in p)
+    shaper = Shaper(params, partial(sample_gaussian, sigma, random.Random(seed)))
+    fed = 0
+    for j, buf in enumerate(result.shaped, 1):
+        now = result.start + j * params.interval
+        while fed < len(arrivals) and arrivals[fed][0] < now:
+            t, flow, n = arrivals[fed]
+            shaper.enqueue(flow, n, t)
+            fed += 1
+        want = shaper.shaping_step(now)
+        assert (buf.dp_len, buf.payload_bytes, buf.dummy, buf.drops) == (
+            want.dp_len, want.payload_bytes, want.dummy, want.drops
+        )
+        assert buf == want
+    assert fed == len(arrivals) and shaper.queued_total == 0
 
 
 def test_collector_paused_only_for_the_call(monkeypatch):
