@@ -92,8 +92,7 @@ def sample_gaussian(sigma: float, rng: random.Random) -> float:
     Uses the generator's Box-Muller transform (``random.Random.gauss``), which
     is rejection-free, so draws are a fixed function of the underlying uniform
     stream; a given seed always yields the same sequence. sigma == 0 returns
-    exactly 0.0. The tunnel draws here once per tick; the simulator, which
-    knows its tick count, takes all of a run's draws from ``gaussian_draws``.
+    exactly 0.0. The tunnel draws here per tick; ``simulate`` uses ``gaussian_draws``.
     """
     if sigma < 0:
         raise ConfigError(f"sigma must be >= 0, got {sigma}")

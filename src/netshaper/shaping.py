@@ -11,9 +11,8 @@ Expiry and dequeue only ever remove a prefix of the arrival order, so the
 FIFO is arrival-order lists with a cursor, cut by bisection and compacted as
 it goes. Next to the FIFO the shaper keeps only a running total. A step's
 departures are slices of those lists, not one object per span; the tunnel
-totals them per flow and uses ``discard_flow`` to tear a flow down. A step's
-noise is the next value of the shaper's ``noise`` source: the tunnel's
-per-tick ``sample_gaussian``, or the simulator's ``gaussian_draws`` list.
+totals them per flow and uses ``discard_flow`` to tear a flow down. Each
+step's noise is one call of ``noise``: per tick or from a run's up-front list.
 """
 
 from __future__ import annotations
@@ -64,15 +63,15 @@ class Departures:
 _EMPTY = Departures([], [], [])
 
 
-class _ShapedFields(NamedTuple):
+class _ShapedFields(NamedTuple):  # ShapedBuffer.__new__ holds the defaults and the checks
     interval_index: int
     dp_len: int
     payload: Departures | tuple[PayloadSpan, ...]
     dummy: int
     drops: int
-    flushed: Departures | tuple[PayloadSpan, ...] = ()
-    queue_len: int = 0
-    payload_bytes: int | None = None
+    flushed: Departures | tuple[PayloadSpan, ...]
+    queue_len: int
+    payload_bytes: int | None
 
 
 class ShapedBuffer(_ShapedFields):
@@ -87,6 +86,7 @@ class ShapedBuffer(_ShapedFields):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, interval_index, dp_len, payload, dummy, drops, flushed=(), queue_len=0,
                 payload_bytes=None):
@@ -99,14 +99,11 @@ class ShapedBuffer(_ShapedFields):
         fields = (interval_index, dp_len, payload, dummy, drops, flushed, queue_len, payload_bytes)
         return tuple.__new__(cls, fields)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
 
 def dp_query(q_len: int, noise: float, cutoff: float) -> int:
     """The noisy queue length ``q_len + noise``, clamped to [0, cutoff], in whole bytes.
 
-    Rounds half-up; sub-byte precision has no wire meaning. Conditionals, not
-    min and max: this runs once per tick.
+    Rounds half-up; sub-byte precision has no wire meaning.
     """
     noisy = q_len + noise
     return math.floor((noisy if noisy < cutoff else cutoff) + 0.5) if noisy > 0.0 else 0

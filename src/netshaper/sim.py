@@ -143,9 +143,8 @@ def simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     Stream i feeds flow i. Bytes arriving during an interval become eligible
     at the next boundary; the clock starts at the earliest packet timestamp
     rounded down to a boundary and runs one full window past the last packet
-    so every byte is delivered or dropped. Every tick's noise comes from one
-    ``gaussian_draws`` call on ``random.Random(cfg.seed)`` made up front: the
-    values one ``sample_gaussian`` call per tick would give.
+    so every byte is delivered or dropped. Its noise is one up-front ``gaussian_draws``
+    call: per-tick ``sample_gaussian`` draws on ``random.Random(cfg.seed)``, bit for bit.
 
     The run makes no reference cycles, but its per-tick lists and buffers would
     make the cyclic collector walk all the caller holds again and again. So the

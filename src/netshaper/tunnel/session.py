@@ -11,7 +11,6 @@ import logging
 import math
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 from ..dpcore import gaussian_sigma, sample_gaussian
@@ -64,7 +63,7 @@ class TunnelSession:
         params = cfg.params
         self.flows_max = cfg.flows_max
         sigma = gaussian_sigma(params.delta_w, params.epsilon_t, params.delta_t)
-        self.shaper = Shaper(params, partial(sample_gaussian, sigma, rng))
+        self.shaper = Shaper(params, lambda: sample_gaussian(sigma, rng))
         self.codec_tx = RecordCodec(tx_key, cfg.mtu, cfg.flows_max)
         self.codec_rx = RecordCodec(rx_key, cfg.mtu, cfg.flows_max, params.cutoff)
         self.cap = None
@@ -86,6 +85,7 @@ class TunnelSession:
             "payload_rx": 0,
             "integrity_errors": 0,
             "ttl_drops": 0,
+            "rst_drops": 0,  # bytes a reset flow dequeued: they leave as dummy
             "flows_rejected": 0,
         }
         self.tick_stats: list[tuple[int, int, int, int, int]] = []
@@ -192,6 +192,7 @@ class TunnelSession:
             flow = self._control if flow_id == CONTROL_FLOW else self.flows[flow_id]
             if flow.rst:  # its stream may have a hole, so none of it leaves as data
                 dummy += total
+                self.stats["rst_drops"] += total
             else:
                 with memoryview(flow.buffer) as view:
                     body = bytes(view[:total])

@@ -110,6 +110,16 @@ def test_offer_at_the_cap_is_refused_whole():
     assert a.offer(flow, b"y")
 
 
+def test_bytes_a_reset_flow_dequeues_count_as_rst_drops():
+    a, b = session_pair(make_cfg(), ForcedNoise(1e6), ForcedNoise(0.0))
+    flow = a.open_flow("dst", 7)
+    assert a.offer(flow, b"x" * 100)
+    a.reset(flow, "test")
+    _, ended, _ = carry(a, b, 1)
+    assert ended == [flow] and a.stats["rst_drops"] == 100
+    assert b.stats["payload_rx"] == 0 and b.stats["dummy_rx"] >= 100  # dequeued, sent as dummy
+
+
 def test_bye_reaches_the_peer_and_the_session_finishes():
     cfg = make_cfg()
     a, b = session_pair(cfg, ForcedNoise(1e6, 1e6, 1e6), ForcedNoise(0.0))
@@ -230,7 +240,6 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
     sent = {flow.flow_id: bytearray() for flow in flows}
     got = {flow.flow_id: bytearray() for flow in flows}
     dropped = set()
-    lost = 0  # bytes a reset flow dequeued: they leave as dummy
     for k, offers in enumerate(ticks + [[]] * 8, start=1):
         arrivals = []
         for index, size in offers:
@@ -254,8 +263,6 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
             with pytest.raises(SessionError):
                 a.tick(k)
             return
-        reset = {f.flow_id for f in a.flows.values() if f.rst} | {s.flow_id for s in expected.flushed}
-        lost += sum(span.length for span in expected.payload if span.flow_id in reset)
         drops = a.stats["ttl_drops"]
         wire, ended, events = carry(a, b, k)
         _, dp_len, payload, dummy, _ = a.tick_stats[-1]
@@ -279,4 +286,5 @@ def test_sessions_match_a_plain_shaper(ticks, seed):
         if flow_id not in dropped:
             assert got[flow_id] == data
     queued = sum(len(flow.buffer) for flow in a.flows.values())
-    assert sum(map(len, sent.values())) == b.stats["payload_rx"] + a.shaper.bytes_dropped + queued + lost
+    accounted = b.stats["payload_rx"] + a.shaper.bytes_dropped + a.stats["rst_drops"] + queued
+    assert sum(map(len, sent.values())) == accounted
