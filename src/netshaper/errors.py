@@ -25,6 +25,10 @@ class SessionError(NetshaperError, RuntimeError):
     """Tunnel session could not be established or broke down."""
 
 
+class WireClosed(SessionError):
+    """The peer closed the tunnel connection."""
+
+
 class AuthError(SessionError):
     """Peer failed pre-shared-key authentication."""
 

@@ -91,7 +91,7 @@ class BurstVector:
             raise ValueError("burst values must be non-negative")
 
 
-def parse_trace(source: str | os.PathLike | IO, fmt: str = "csv") -> Stream:
+def parse_trace(source: str | os.PathLike | IO) -> Stream:
     """Parse a packet trace into a sorted Stream.
 
     The only supported format is CSV with header ``t_ns,len_bytes,flow_id,dir``
@@ -99,8 +99,6 @@ def parse_trace(source: str | os.PathLike | IO, fmt: str = "csv") -> Stream:
     Raises TraceParseError with the offending line number for malformed or
     invalid rows.
     """
-    if fmt != "csv":
-        raise ConfigError(f"unsupported trace format: {fmt!r}")
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):

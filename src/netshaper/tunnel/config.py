@@ -20,13 +20,13 @@ REQUIRED_KEYS = (
     "delta_w_bytes",
     "epsilon",
     "delta",
+    "cutoff_bytes",
     "flows_max",
 )
 
 OPTIONAL_KEYS = (
     "T_prep_ms",
     "T_enq_ms",
-    "cutoff_bytes",
     "app_listen_addr",
     "mtu",
     "idle_timeout_ms",
@@ -48,14 +48,13 @@ class TunnelConfig:
 
     def wire_params(self) -> dict:
         """Parameter set both endpoints must agree on at establish time."""
-        cutoff = self.params.cutoff
         return {
             "T_ns": self.params.interval,
             "W_ns": self.params.window,
             "delta_w_bytes": self.params.delta_w,
             "epsilon": self.params.epsilon_t,
             "delta": self.params.delta_t,
-            "cutoff_bytes": None if math.isinf(cutoff) else cutoff,
+            "cutoff_bytes": self.params.cutoff,
             "flows_max": self.flows_max,
             "mtu": self.mtu,
         }
@@ -120,16 +119,13 @@ def parse_config(text: str) -> TunnelConfig:
         epsilon = float(values["epsilon"])
         delta = float(values["delta"])
         delta_w = float(values["delta_w_bytes"])
+        cutoff = float(values["cutoff_bytes"])
         flows_max = int(values["flows_max"])
         mtu = int(values.get("mtu", "1400"))
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from None
-    cutoff = math.inf
-    if "cutoff_bytes" in values and values["cutoff_bytes"].lower() not in ("inf", ""):
-        try:
-            cutoff = float(values["cutoff_bytes"])
-        except ValueError:
-            raise ConfigError("cutoff_bytes must be a number or 'inf'") from None
+    if not math.isfinite(cutoff):  # it bounds each tick a peer may announce and each flow's buffers
+        raise ConfigError(f"cutoff_bytes must be finite, got {cutoff}")
     if flows_max < 1:
         raise ConfigError(f"flows_max must be >= 1, got {flows_max}")
 

@@ -1,12 +1,12 @@
 """Live tunnel endpoint: the sockets, workers and clock around a ``TunnelSession``.
 
-Three workers run an endpoint, however many flows it carries. The loop
+Two workers run an endpoint, however many flows it carries. The loop
 thread owns the tick and is the one thread that calls the session: it waits
 in ``select`` until the next tick deadline or handoff time, and meanwhile,
 without blocking, accepts and registers application connections, reads
 their bytes into ``offer``, connects to destinations, hands each opened tick
-to ``receive`` and writes delivered bytes out. The transmit worker writes
-each sealed tick with one call. The receive worker reads and opens each
+to ``receive`` and writes delivered bytes and sealed ticks out; it makes no
+tick while four are unwritten. The receive worker reads and opens each
 inbound tick and hands it to the loop through a small bounded queue and a
 wake-up byte.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import queue
 import random
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from errno import EINPROGRESS
 from functools import partial
 
-from ..errors import SessionError
+from ..errors import SessionError, WireClosed
 from .config import TunnelConfig
 from .records import Hello, check_params_match, derive_direction_keys, random_nonce, read_hello
 from .session import Flow, TunnelSession
@@ -65,17 +66,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytearray:
         while pos < n:
             got = sock.recv_into(view[pos:])
             if not got:
-                raise SessionError("peer closed the tunnel connection")
+                raise WireClosed("peer closed the tunnel connection")
             pos += got
     return buf
-
-
-def _send_pieces(sock: socket.socket, pieces: tuple[bytes, ...]) -> None:
-    sent = sock.sendmsg(pieces)
-    for piece in pieces:  # a blocking sendmsg stops short only on a signal
-        if sent < len(piece):
-            sock.sendall(memoryview(piece)[sent:])
-        sent = max(0, sent - len(piece))
 
 
 class TunnelEndpoint:
@@ -93,7 +86,7 @@ class TunnelEndpoint:
         self.tick_log = tick_log
         self._rng = random.Random(seed)
         self.session: TunnelSession | None = None
-        self._tx_queue: queue.Queue = queue.Queue(4)
+        self._unsent: list[memoryview] = []  # sealed tick pieces not yet written, two a tick
         self._rx_queue: queue.Queue = queue.Queue(4)  # opened ticks, then None once the wire ends
         self._sel = selectors.DefaultSelector()
         self._wake_r, self._wake_w = socket.socketpair()
@@ -151,13 +144,13 @@ class TunnelEndpoint:
 
     def start(self) -> None:
         self.establish()
-        self._chunk = min(APP_CHUNK, self.session.cap or APP_CHUNK)  # a chunk the cap can take
+        self._chunk = min(APP_CHUNK, self.session.cap)  # a chunk the cap can take
         self._sel.register(self._wake_r, READ, self._on_wake)
         if self.cfg.app_listen_addr is not None:
             self._app_listen_sock = socket.create_server(self.cfg.app_listen_addr)
             self._app_listen_sock.setblocking(False)
             self._sel.register(self._app_listen_sock, READ, self._on_accept)
-        for target, name in ((self._loop, "loop"), (self._tx_loop, "tx"), (self._rx_loop, "rx")):
+        for target, name in ((self._loop, "loop"), (self._rx_loop, "rx")):
             self._threads.append(threading.Thread(target=target, name=f"{self.role}-{name}", daemon=True))
             self._threads[-1].start()
 
@@ -166,15 +159,13 @@ class TunnelEndpoint:
         self._closing.set()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Hard stop: joins the workers, then closes every socket."""
+        """Hard stop: drops unwritten ticks, joins both workers, then closes every socket."""
         self.finished.set()
         self._wake()
-        # The transmit worker ends on the sentinel or the shut socket, not a closed fd.
+        # The receive worker ends on the shut socket, not a closed fd.
         if self._wire_sock is not None:
             with contextlib.suppress(OSError):
                 self._wire_sock.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(queue.Full):
-            self._tx_queue.put_nowait(None)
         for t in self._threads:
             t.join(timeout)
         for io in list(self._ios):
@@ -220,7 +211,10 @@ class TunnelEndpoint:
                 self._serve_until(deadline + t_prep_sec - 0.001)
                 time.sleep(max(0.0, deadline + t_prep_sec - time.monotonic()))
                 self.handoff_offsets.append(time.monotonic() - deadline)
-                self._tx_queue.put(wire_tick)
+                # Two pieces a tick: while four ticks are unwritten, wait for one to go.
+                self._serve_until(math.inf, lambda: len(self._unsent) < 7)
+                self._unsent += map(memoryview, wire_tick)
+                self._write_wire()
                 if time.monotonic() - deadline > t_prep_sec + t_enq_sec:
                     stats["enq_overruns"] += 1
                 if self.tick_log is not None:
@@ -238,25 +232,40 @@ class TunnelEndpoint:
                 ):
                     log.info("idle timeout, closing session")
                     self._closing.set()
-            self._tx_queue.put(None)
-            if session.done:  # the peer's last ticks may still be on the wire: deliver them first
-                self._serve_until(
-                    time.monotonic() + DELIVER_TIMEOUT,
-                    lambda: self._wire_ended and not any(io.out for io in self._ios),
-                )
+            if session.done:  # write the last ticks, then deliver the peer's that are still on the wire
+                linger = time.monotonic() + DELIVER_TIMEOUT
+                self._serve_until(linger, lambda: not self._unsent)
+                self._wire_sock.shutdown(socket.SHUT_WR)
+                self._serve_until(linger, lambda: self._wire_ended and not any(io.out for io in self._ios))
         except (SessionError, OSError) as exc:
-            log.warning("loop stopped: %s", exc)
-            self._tx_queue.put(None)
+            if not self.finished.is_set():
+                log.warning("loop stopped: %s", exc)
         finally:
             self.finished.set()
 
     def _serve_until(self, t: float, done=lambda: False):
         """Serve socket events until monotonic time ``t``, ``done()`` or the end; at least one pass."""
         while True:
-            for key, mask in self._sel.select(0.0 if done() else max(0.0, t - time.monotonic())):
+            for key, mask in self._sel.select(0.0 if done() else min(1.0, t - time.monotonic())):
                 key.data(mask)
             if self.finished.is_set() or done() or time.monotonic() >= t:
                 return
+
+    def _write_wire(self, mask: int = WRITE):
+        """Write what the kernel takes of the unwritten pieces; select the wire while any is left."""
+        unsent = self._unsent
+        with contextlib.suppress(BlockingIOError):
+            while unsent:  # the fd stays blocking for the receive worker, so each call says not to wait
+                sent = self._wire_sock.sendmsg(unsent, (), socket.MSG_DONTWAIT)
+                while unsent and sent >= len(unsent[0]):
+                    sent -= len(unsent.pop(0))
+                if sent:
+                    unsent[0] = unsent[0][sent:]
+        key = self._sel.get_map().get(self._wire_sock)
+        if unsent and key is None:
+            self._sel.register(self._wire_sock, WRITE, self._write_wire)
+        elif key is not None and not unsent:
+            self._sel.unregister(self._wire_sock)
 
     def _after_tick(self):
         """Offer the chunks the session refused; end registrations and connects past due."""
@@ -391,7 +400,6 @@ class TunnelEndpoint:
     # --- destination side ---
 
     def _on_events(self, events: list[tuple]):
-        cap = self.session.cap
         for kind, *args in events:
             if kind == "open":
                 self._open_remote_flow(*args)
@@ -401,7 +409,7 @@ class TunnelEndpoint:
                 io = args[0].io
                 if kind == "eof":
                     io.peer_eof = True
-                elif cap is not None and len(io.out) + len(args[1]) > cap:
+                elif len(io.out) + len(args[1]) > self.session.cap:
                     self._fail(io, "stalled", f"{len(io.out)} bytes unread")
                     continue
                 else:
@@ -440,19 +448,7 @@ class TunnelEndpoint:
             if not self._closing.is_set():
                 self.finished.set()
 
-    # --- wire workers ---
-
-    def _tx_loop(self):
-        try:
-            for wire_tick in iter(self._tx_queue.get, None):
-                _send_pieces(self._wire_sock, wire_tick)
-        except OSError as exc:
-            if not self.finished.is_set():
-                log.warning("transmit worker stopped: %s", exc)
-            self.finished.set()
-        finally:
-            with contextlib.suppress(OSError):
-                self._wire_sock.shutdown(socket.SHUT_WR)
+    # --- the receive worker ---
 
     def _rx_loop(self):
         read_tick = self.session.codec_rx.read_tick
@@ -463,7 +459,9 @@ class TunnelEndpoint:
                 self._hand_to_loop(read_tick(recv))
         except (SessionError, OSError) as exc:
             if not self.finished.is_set() and not self._closing.is_set():
-                log.warning("receive worker stopped: %s", exc)
+                # A closed wire is how a peer's stop() looks from here.
+                level = logging.INFO if isinstance(exc, WireClosed) else logging.WARNING
+                log.log(level, "receive worker stopped: %s", exc)
         self._hand_to_loop(None)
 
     def _hand_to_loop(self, opened):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..dpcore import gaussian_sigma, sample_gaussian
-from ..errors import SessionError
+from ..errors import ConfigError, SessionError
 from ..shaping import Shaper
 from .config import TunnelConfig
 from .frames import KIND_CONTROL, KIND_DATA, KIND_DUMMY, build_frames, decode_block, encode_block
@@ -61,14 +61,14 @@ class TunnelSession:
 
     def __init__(self, cfg: TunnelConfig, tx_key: bytes, rx_key: bytes, rng: random.Random):
         params = cfg.params
+        if not math.isfinite(params.cutoff):  # the cutoff bounds what a peer's header may announce
+            raise ConfigError("a tunnel needs a finite cutoff")
         self.flows_max = cfg.flows_max
         sigma = gaussian_sigma(params.delta_w, params.epsilon_t, params.delta_t)
         self.shaper = Shaper(params, lambda: sample_gaussian(sigma, rng))
         self.codec_tx = RecordCodec(tx_key, cfg.mtu, cfg.flows_max)
         self.codec_rx = RecordCodec(rx_key, cfg.mtu, cfg.flows_max, params.cutoff)
-        self.cap = None
-        if math.isfinite(params.cutoff):
-            self.cap = int(params.cutoff) * params.intervals_per_window
+        self.cap = int(params.cutoff) * params.intervals_per_window
         self.flows: dict[int, Flow] = {}
         self.pending: dict[int, list[tuple[int, bytes]]] = {}  # data ahead of its flow's open
         self._offered_flows: list[int] = []
@@ -104,7 +104,7 @@ class TunnelSession:
 
     def offer(self, flow: Flow, data: bytes) -> bool:
         """Take application bytes for the next tick; False, taking nothing, at the flow's cap."""
-        if self.cap is not None and len(flow.buffer) + len(data) > self.cap:
+        if len(flow.buffer) + len(data) > self.cap:
             return False
         flow.buffer += data
         self._offered_flows.append(flow.flow_id)

@@ -276,6 +276,18 @@ def test_parse_missing_key():
         parse_config("listen_addr = 127.0.0.1:4000\n")
 
 
+def test_parse_needs_the_cutoff():
+    text = GOOD_CONFIG.replace("cutoff_bytes = 100000\n", "")
+    with pytest.raises(ConfigError, match="cutoff_bytes is required"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_parse_rejects_a_cutoff_that_is_not_finite(value):
+    with pytest.raises(ConfigError, match="cutoff_bytes must be finite"):
+        parse_config(GOOD_CONFIG.replace("cutoff_bytes = 100000", f"cutoff_bytes = {value}"))
+
+
 def test_parse_malformed_psk():
     with pytest.raises(ConfigError, match="psk_hex"):
         parse_config(GOOD_CONFIG.replace("ab" * 32, "zz"))

@@ -1,6 +1,7 @@
 """Two tunnel sessions driven back to back in memory, tick by tick."""
 
 import ast
+import math
 import random
 from functools import partial
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from _support import ForcedNoise
 from test_frames import feeder
 from netshaper.dpcore import DpParams, gaussian_sigma, sample_gaussian
-from netshaper.errors import SessionError
+from netshaper.errors import ConfigError, SessionError
 from netshaper.shaping import Shaper
 from netshaper.tunnel.config import TunnelConfig
 from netshaper.tunnel.frames import build_frames, encode_block
@@ -98,6 +99,12 @@ def test_malformed_ticks_count_integrity_errors():
     # the forged tick, the short one, the data and control offsets, the two bad lines
     assert session.stats["integrity_errors"] == 6
     assert session.stats["dummy_rx"] == 5 and session.stats["payload_rx"] == 0
+
+
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+def test_a_session_needs_a_finite_cutoff(cutoff):
+    with pytest.raises(ConfigError, match="finite cutoff"):
+        TunnelSession(make_cfg(cutoff=cutoff), KEY_AB, KEY_BA, random.Random(1))
 
 
 def test_offer_at_the_cap_is_refused_whole():
