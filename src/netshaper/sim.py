@@ -3,7 +3,9 @@
 Replays packet traces through the shaping step at every interval boundary and
 reports bandwidth overhead (dummy bytes relative to payload), per-byte latency
 (payload only; dummy bytes carry no latency), and TTL drops. Runs are fully
-deterministic under a fixed seed.
+deterministic under a fixed seed. The streams' cached columns are merged by one
+stable sort, the ticks run one ``Shaper.extend`` and one step each, and the waits
+come from the ticks' byte offsets into the arrivals, not from the departed spans.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 from operator import attrgetter
 from typing import Sequence
 
@@ -103,14 +104,7 @@ class SimResult:
             "payload_delivered_bytes": self.payload_delivered,
             "drops_bytes": self.drops_bytes,
             "drop_fraction": self.drop_fraction,
-            "latency_ns": None
-            if self.latency is None
-            else {
-                "mean": self.latency.mean,
-                "std": self.latency.std,
-                "p99": self.latency.p99,
-                "max": self.latency.max,
-            },
+            "latency_ns": None if self.latency is None else dataclasses.asdict(self.latency),
             "no_payload": self.no_payload,
             "sigma": self.sigma,
             "cutoff": None if math.isinf(self.cutoff) else self.cutoff,
@@ -130,7 +124,7 @@ def _latency_stats(lengths: np.ndarray, waits: np.ndarray) -> LatencyStats:
     total = lengths.sum()
     mean = float((lengths * waits).sum() / total)
     var = float((lengths * (waits - mean) ** 2).sum() / total)
-    order = np.argsort(waits, kind="stable")
+    order = np.argsort(waits)  # tied waits share one value, so their order cannot move the p99
     cumulative = np.cumsum(lengths[order])
     p99_idx = int(np.searchsorted(cumulative, 0.99 * total))
     p99 = float(waits[order][min(p99_idx, len(waits) - 1)])
@@ -172,52 +166,22 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
         params.delta_w, params.epsilon_t, params.delta_t
     )
     interval = params.interval
-
-    # Arrivals as plain lists of the records' own ints: new ints would raise peak RSS.
-    lengths = [[r.length for r in s.records] for s in streams]
-    payload_in = dict(enumerate(map(sum, lengths)))
-    sizes = list(chain.from_iterable(lengths))
-    times = [r.t for s in streams for r in s.records]
-    arrival_flows = [flow for flow, column in enumerate(lengths) for _ in column]
-    sorted_times = np.asarray(times, dtype=np.int64)
-    if len(streams) > 1:  # each stream is sorted already; ties keep stream order
-        order = np.argsort(sorted_times, kind="stable")
-        sorted_times, order = sorted_times[order], order.tolist()
-        times, sizes, arrival_flows = (
-            [column[i] for i in order] for column in (times, sizes, arrival_flows)
-        )
-        del order  # one new int per packet, not needed in the tick loop
+    payload_in, sorted_times, sorted_sizes, times, flows_in, sizes = _merge_arrivals(streams)
     if not times and cfg.horizon is None:
         raise ConfigError("streams carry no packets; set an explicit horizon")
     start = (times[0] // interval) * interval if times else 0
     end = max(times[-1] + params.window if times else start, start + (cfg.horizon or 0))
     ticks = (end - start + interval - 1) // interval + 1
-    # cuts[j - 1]: the arrivals before tick j's boundary
-    cuts = np.searchsorted(sorted_times, start + interval * np.arange(1, ticks + 1)).tolist()
-
+    nows = start + interval * np.arange(1, ticks + 1)  # the ticks' boundaries
     shaper = Shaper(params, iter(gaussian_draws(sigma, random.Random(cfg.seed), ticks)).__next__)
-    shaped: list[ShapedBuffer] = []
-    fed = 0
-    for j, cut in enumerate(cuts, 1):
-        if cut > fed:
-            shaper.extend(times[fed:cut], arrival_flows[fed:cut], sizes[fed:cut])
-            fed = cut
-        shaped.append(shaper.shaping_step(start + j * interval))
-    # Byte-weighted waits, span by span in departure order, from the payload columns.
-    payloads = list(map(attrgetter("payload"), shaped))
-    departed_lengths = list(map(attrgetter("lengths"), payloads))
-    counts = np.fromiter(map(len, departed_lengths), np.int64, ticks)
-    spans = int(counts.sum())
-    lat_lengths = np.fromiter(chain.from_iterable(departed_lengths), np.int64, spans)
-    departed = np.repeat(start + interval * np.arange(1, ticks + 1, dtype=np.int64), counts)
-    lat_times = chain.from_iterable(map(attrgetter("times"), payloads))
-    lat_waits = departed - np.fromiter(lat_times, np.int64, spans)
+    shaped = _run_ticks(shaper, nows, sorted_times, times, flows_in, sizes)
+    lat_lengths, lat_waits, drops = _waits(shaped, nows, sorted_times, sorted_sizes)
 
     dummy_total = sum(map(attrgetter("dummy"), shaped))
     in_total = sum(payload_in.values())
-    drops_total = sum(map(attrgetter("drops"), shaped))
+    drops_total = int(drops.sum())
     per_flow = {flow: (dummy_total / flows) / n if n else None for flow, n in payload_in.items()}
-    latency = _latency_stats(lat_lengths, lat_waits) if spans else None
+    latency = _latency_stats(lat_lengths, lat_waits) if len(lat_lengths) else None
     return SimResult(
         shaped=tuple(shaped),
         start=start,
@@ -235,6 +199,53 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
         cutoff=params.cutoff,
         seed=cfg.seed,
     )
+
+
+def _merge_arrivals(streams: Sequence[Stream]) -> tuple:
+    """Each flow's byte total, then times and lengths as int64 arrays and times, flows
+    and lengths as lists, all in time order, ties in stream order."""
+    columns = [s.columns for s in streams]
+    times, sizes = (np.concatenate(column) for column in zip(*columns))
+    counts = [len(t) for t, _ in columns]
+    flows = np.repeat(np.arange(len(streams)).astype(object), counts)
+    times64, sizes64 = times.astype(np.int64), sizes.astype(np.int64)
+    totals = {flow: int(part.sum()) for flow, part in enumerate(np.split(sizes64, np.cumsum(counts)[:-1]))}
+    if len(streams) > 1:
+        order = np.argsort(times64, kind="stable")
+        times64, sizes64, times, flows, sizes = (c[order] for c in (times64, sizes64, times, flows, sizes))
+    # The records' own ints, which the results' departures hold: int64 tolist() gave every result
+    # 27 MB of new ints on sim-web-256's 450k packets, and with the last result alive while the
+    # next call ran, that benchmark's peak RSS rose 30 % (197 -> 250-266 MB).
+    return totals, times64, sizes64, times.tolist(), flows.tolist(), sizes.tolist()
+
+
+def _run_ticks(shaper: Shaper, nows: np.ndarray, times64: np.ndarray, times, flows, sizes) -> list:
+    """Shape at each boundary in ``nows`` once the arrivals before it are in."""
+    shaped: list[ShapedBuffer] = []
+    fed = 0
+    for cut, now in zip(np.searchsorted(times64, nows).tolist(), nows.tolist()):
+        if cut > fed:
+            shaper.extend(times[fed:cut], flows[fed:cut], sizes[fed:cut])
+            fed = cut
+        shaped.append(shaper.shaping_step(now))
+    return shaped
+
+
+def _waits(shaped, nows: np.ndarray, times: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each departed span's length and wait, in departure order, and each tick's drops: tick j's
+    payload is the arrival bytes [ends_j - taken_j, ends_j), ends = cumsum(drops + taken), split
+    at packet boundaries, because the TTL and the dequeue both cut the FIFO's head."""
+    drops = np.fromiter(map(attrgetter("drops"), shaped), np.int64, len(nows))
+    taken = np.fromiter(map(attrgetter("payload_bytes"), shaped), np.int64, len(nows))
+    cum = np.concatenate(([0], np.cumsum(sizes)))  # cum[i]: the arrival bytes before packet i
+    ends = np.cumsum(drops + taken)
+    starts = ends - taken
+    first = np.searchsorted(cum, starts, "right") - 1  # the packet of each tick's first byte
+    counts = np.where(taken > 0, np.searchsorted(cum, ends) - first, 0)
+    tick = np.repeat(np.arange(len(nows)), counts)
+    spans = np.arange(len(tick)) + (first - np.cumsum(counts) + counts)[tick]
+    lengths = np.minimum(cum[spans + 1], ends[tick]) - np.maximum(cum[spans], starts[tick])
+    return lengths, nows[tick] - times[spans], drops
 
 
 @dataclass(frozen=True)

@@ -187,7 +187,7 @@ class TunnelEndpoint:
         stats = self.stats
         t_sec = cfg.params.interval / NS
         t_prep_sec = cfg.t_prep / NS
-        t_enq_sec = cfg.t_enq / NS
+        enq_sec = (cfg.t_prep + cfg.t_enq) / NS  # a handoff's enqueue deadline, past its tick's
         epoch = time.monotonic()
         k = 0
         try:
@@ -211,12 +211,14 @@ class TunnelEndpoint:
                 self._serve_until(deadline + t_prep_sec - 0.001)
                 time.sleep(max(0.0, deadline + t_prep_sec - time.monotonic()))
                 self.handoff_offsets.append(time.monotonic() - deadline)
-                # Two pieces a tick: while four ticks are unwritten, wait for one to go.
-                self._serve_until(math.inf, lambda: len(self._unsent) < 7)
+                # Two pieces a tick: while four ticks are unwritten, wait for one to go. A wait
+                # that passes the enqueue deadline counts its overrun then, not once it ends.
+                self._serve_until(deadline + enq_sec, lambda: len(self._unsent) < 7)
+                if time.monotonic() >= deadline + enq_sec:
+                    stats["enq_overruns"] += 1
+                    self._serve_until(math.inf, lambda: len(self._unsent) < 7)
                 self._unsent += map(memoryview, wire_tick)
                 self._write_wire()
-                if time.monotonic() - deadline > t_prep_sec + t_enq_sec:
-                    stats["enq_overruns"] += 1
                 if self.tick_log is not None:
                     self.tick_log(*self.tick_stats[-1])
                 for flow in ended:

@@ -6,10 +6,11 @@ import math
 import random
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _support import as_stream
@@ -309,25 +310,128 @@ def test_latency_stats_are_byte_weighted():
     )
 
 
+def span_by_span(result):
+    """Each departed span's (length, wait), read from ``result.shaped`` in departure order."""
+    return [
+        (span.length, buf.interval_index * result.interval - span.enqueue_time)
+        for buf in result.shaped for span in buf.payload
+    ]
+
+
+def offset_columns(streams, cfg):
+    """``simulate``'s result and the (lengths, waits) columns it weighs its latency by, if any."""
+    seen = []
+    latency_stats = sim_module._latency_stats
+
+    def record(lengths, waits):
+        seen.append(list(zip(lengths.tolist(), waits.tolist())))
+        return latency_stats(lengths, waits)
+
+    with mock.patch.object(sim_module, "_latency_stats", record):
+        result = simulate(streams, cfg)
+    return result, seen
+
+
 def test_latency_matches_the_span_by_span_formula():
     # Several flows past the cutoff, so the TTL drops bytes and spans leave
-    # across two ticks; the waits come from the payload columns, and must
-    # equal the old reading of the departed spans one by one.
+    # across two ticks; the waits come from the ticks' byte offsets into the
+    # arrivals, and must equal the old reading of the departed spans one by one.
     rng = random.Random(22)
     params = DpParams(1.0, 1e-6, 5_000.0, interval=10 * MS, window=30 * MS, cutoff=6_000)
     streams = [
         as_stream(sorted((rng.randrange(200 * MS), rng.randint(1, 1500)) for _ in range(60)), flow)
         for flow in range(4)
     ]
-    result = simulate(streams, SimConfig(params, seed=5, sigma=1_500.0))
+    result, seen = offset_columns(streams, SimConfig(params, seed=5, sigma=1_500.0))
     assert result.drops_bytes > 0
     heads = [(buf.payload.flows[0], buf.payload.times[0]) for buf in result.shaped[1:] if buf.payload]
     tails = [(buf.payload.flows[-1], buf.payload.times[-1]) for buf in result.shaped if buf.payload]
     assert set(heads) & set(tails)  # a span whose bytes left in two ticks
-    lengths = [span.length for buf in result.shaped for span in buf.payload]
-    waits = [
-        buf.interval_index * result.interval - span.enqueue_time
-        for buf in result.shaped for span in buf.payload
-    ]
-    want = sim_module._latency_stats(np.asarray(lengths, dtype=np.int64), np.asarray(waits, dtype=np.int64))
-    assert result.latency == want
+    spans = span_by_span(result)
+    assert seen == [spans]
+    lengths, waits = (np.asarray(column, dtype=np.int64) for column in zip(*spans))
+    assert result.latency == sim_module._latency_stats(lengths, waits)
+
+
+# Up to three flows on a 25 ns grid, so packets of different flows often share a timestamp.
+TIED_FLOW_POINTS = st.lists(
+    st.lists(st.tuples(st.integers(0, 160).map(lambda k: 25 * k), st.integers(1, 900)), max_size=30),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=150)
+@given(
+    points=TIED_FLOW_POINTS,
+    window_ticks=st.integers(1, 4),
+    sigma=st.sampled_from([0.0, 40.0, 400.0, 3000.0]),
+    cutoff=st.sampled_from([250.0, 1200.0, math.inf]),
+    horizon=st.none() | st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+# σ = 0 and a 250 B cutoff over tied flows: clamped ticks split spans, the TTL drops, a gap idles
+@example([[(0, 600), (50, 300), (1000, 200)], [(0, 400), (50, 700)]], 2, 0.0, 250.0, None, 0)
+@example([[], []], 2, 400.0, 250.0, 1000, 3)  # a horizon and no packet
+def test_waits_from_byte_offsets_match_the_departed_spans(points, window_ticks, sigma, cutoff, horizon, seed):
+    params = DpParams(1.0, 1e-6, 500.0, interval=100, window=100 * window_ticks, cutoff=cutoff)
+    if not any(points) and horizon is None:
+        horizon = 1000
+    streams = [as_stream(sorted(p), flow) for flow, p in enumerate(points)]
+    result, seen = offset_columns(streams, SimConfig(params, seed=seed, sigma=sigma, horizon=horizon))
+    spans = span_by_span(result)
+    assert seen == ([spans] if spans else [])
+    assert (result.latency is None) == (not spans)
+    assert result.drops_bytes == sum(buf.drops for buf in result.shaped)
+
+
+def stable_latency_stats(lengths, waits):
+    """``_latency_stats`` with a stable sort: ties keep their input order."""
+    total = lengths.sum()
+    mean = float((lengths * waits).sum() / total)
+    var = float((lengths * (waits - mean) ** 2).sum() / total)
+    order = np.argsort(waits, kind="stable")
+    p99_idx = int(np.searchsorted(np.cumsum(lengths[order]), 0.99 * total))
+    return sim_module.LatencyStats(
+        mean, math.sqrt(var), float(waits[order][min(p99_idx, len(waits) - 1)]), int(waits.max())
+    )
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(1, 1500), st.integers(0, 4)), min_size=1, max_size=400))
+def test_latency_stats_need_no_stable_sort(pairs):
+    # Five wait values over up to 400 spans: long runs of ties, which an
+    # unstable sort may reorder; the byte-weighted p99 lands in the same run.
+    lengths, waits = (np.asarray(column, dtype=np.int64) for column in zip(*pairs))
+    assert sim_module._latency_stats(lengths, waits) == stable_latency_stats(lengths, waits)
+
+
+def test_streams_build_their_columns_once():
+    streams = [constant_rate_stream(), constant_rate_stream(rate_bytes=700)]
+    assert not any("columns" in vars(s) for s in streams)
+    first = simulate(streams, SimConfig(PARAMS, seed=1))
+    built = [s.columns for s in streams]
+    second = simulate(streams, SimConfig(PARAMS, seed=1))
+    assert all(s.columns is columns for s, columns in zip(streams, built))
+    assert intervals_to_csv(first) == intervals_to_csv(second)
+
+
+@pytest.mark.parametrize("axis,values", [("sigma", [0.0, 2_000.0, 9_000.0]), ("flows", [1, 3, 4])])
+def test_sweep_csv_matches_simulate_on_fresh_streams(axis, values):
+    # The sweep reuses each stream's cached columns across rows, and the
+    # "flows" axis one stream several times in a row; neither may show.
+    def fresh():  # two flows whose packets share every timestamp
+        return [constant_rate_stream(count=150), constant_rate_stream(700, count=150)]
+
+    cfg = SimConfig(PARAMS, seed=6, sigma=3_000.0, per_flow_cutoff=4_000.0)
+    swept = overhead_sweep(fresh(), cfg, axis, values)
+    rows = []
+    for i, value in enumerate(values):
+        row_cfg = dataclasses.replace(cfg, seed=6 * 1_000_003 + i)
+        if axis == "sigma":
+            row_streams, row_cfg = fresh(), dataclasses.replace(row_cfg, sigma=value)
+        else:
+            row_streams = [fresh()[k % 2] for k in range(value)]
+        rows.append(sim_module.SweepRow(axis, float(value), simulate(row_streams, row_cfg)))
+    assert sweep_to_csv(swept) == sweep_to_csv(rows)
+    assert [intervals_to_csv(r.result) for r in swept] == [intervals_to_csv(r.result) for r in rows]

@@ -1,6 +1,7 @@
 """Stream ingestion, windowed representation, and distance tests."""
 
 import io
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,23 @@ def make_stream(points, direction="out"):
 def random_stream(rng, n, t_max=10_000, len_max=2000, align=1):
     points = [(rng.randrange(0, t_max // align) * align, rng.randint(1, len_max)) for _ in range(n)]
     return make_stream(points)
+
+
+# --- Stream ---
+
+
+@pytest.mark.parametrize("points", [[], [(5, 100), (5, 200), (2**40, 300)]])
+def test_columns_are_a_cache_that_equality_hash_and_pickle_ignore(points):
+    built, plain = make_stream(points), make_stream(points)
+    times, lengths = built.columns
+    assert built.columns is built.columns and "columns" not in vars(plain)
+    assert all(t is r.t and n is r.length for t, n, r in zip(times, lengths, built.records))
+    assert times.dtype == lengths.dtype == object and len(times) == len(points)
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+    for stream in (built, plain):
+        back = pickle.loads(pickle.dumps(stream))
+        assert back == stream and hash(back) == hash(stream)
+        assert [c.tolist() for c in back.columns] == [c.tolist() for c in built.columns]
 
 
 # --- parse_trace ---

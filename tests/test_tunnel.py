@@ -525,12 +525,15 @@ def start_stalled_bulk(monkeypatch, sink, payload):
     """Push a bulk flow into a pair whose serve side reads no wire, until the connect side makes no tick.
 
     The window is long enough that no byte waits out the TTL while the
-    wire stands still.
+    wire stands still. Also returns the connect side's enqueue overrun count
+    as each of its handoffs ended.
     """
     thaw = freeze_serve_wire_reads(monkeypatch)
     params = make_params(interval_ms=10, window_ms=400, delta_w=1000.0, cutoff=1_000_000.0)
     serve_cfg, connect_cfg = make_cfg_pair(params=params, t_prep_ms=5, t_enq_ms=2)
     serve, connect = start_pair(serve_cfg, connect_cfg)
+    handed = [0]
+    connect.tick_log = lambda *tick: handed.append(connect.stats["enq_overruns"])
     sock, response = open_flow(connect_cfg, sink.port)
     assert response["ok"]
 
@@ -540,9 +543,8 @@ def start_stalled_bulk(monkeypatch, sink, payload):
             sock.close()
 
     threading.Thread(target=push, daemon=True).start()
-    # The handoff that waits counts its enqueue overrun only once it is done.
     assert wait_for(lambda: makes_no_tick(connect), timeout=10)  # twenty intervals without one
-    return thaw, serve, connect
+    return thaw, serve, connect, handed
 
 
 def test_a_peer_that_reads_no_wire_stalls_no_socket(sink, monkeypatch):
@@ -550,8 +552,10 @@ def test_a_peer_that_reads_no_wire_stalls_no_socket(sink, monkeypatch):
     # meanwhile it answers a new registration. Once the serve side reads
     # again, the bulk bytes arrive whole.
     payload = random.Random(5).randbytes(24 << 20)
-    thaw, serve, connect = start_stalled_bulk(monkeypatch, sink, payload)
+    thaw, serve, connect, handed = start_stalled_bulk(monkeypatch, sink, payload)
     try:
+        # The handoff that waits on the wire has counted its enqueue overrun already.
+        assert connect.stats["enq_overruns"] > handed[-1]
         started = time.monotonic()
         probe, response = open_flow(connect.cfg, sink.port, timeout=1)
         assert response["ok"] and time.monotonic() - started < 1
@@ -567,7 +571,7 @@ def test_a_peer_that_reads_no_wire_stalls_no_socket(sink, monkeypatch):
 
 
 def test_stop_returns_while_the_peer_reads_no_wire(sink, monkeypatch):
-    thaw, serve, connect = start_stalled_bulk(monkeypatch, sink, bytes(24 << 20))
+    thaw, serve, connect, _ = start_stalled_bulk(monkeypatch, sink, bytes(24 << 20))
     try:
         started = time.monotonic()
         connect.stop(timeout=2)
