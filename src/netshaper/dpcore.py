@@ -70,7 +70,6 @@ class PrivacyReport:
     sigma: float
     queries: int
     epsilon_total: float
-    delta_total: float
     alpha_star: float
 
 
@@ -157,7 +156,7 @@ def compose_to_dp(delta_w: float, sigma: float, queries: int, delta_target: floa
     if not 0 < delta_target < 1:
         raise ConfigError(f"delta must be in (0, 1), got {delta_target}")
     if queries == 0:
-        return PrivacyReport(sigma, 0, 0.0, delta_target, math.inf)
+        return PrivacyReport(sigma, 0, 0.0, math.inf)
     if sigma <= 0:
         raise ConfigError("sigma must be > 0 when composing queries")
     rho_total = queries * delta_w * delta_w / (2.0 * sigma * sigma)
@@ -169,7 +168,7 @@ def compose_to_dp(delta_w: float, sigma: float, queries: int, delta_target: floa
         if eps < best_eps:
             best_eps = eps
             best_alpha = alpha
-    return PrivacyReport(sigma, queries, best_eps, delta_target, best_alpha)
+    return PrivacyReport(sigma, queries, best_eps, best_alpha)
 
 
 def sigma_for_budget(

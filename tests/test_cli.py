@@ -178,6 +178,24 @@ def test_distance_constructed_corpus(tmp_path, capsys):
     assert (pairs, p50, mx) == (3, 300, 500)
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "distance")
+
+
+@pytest.mark.parametrize("w_ms,t_ms", [(10, 10), (100, 10), (500, 100), (1000, 250)])
+@pytest.mark.parametrize("direction", [None, "in"])
+def test_distance_matches_golden_csvs(w_ms, t_ms, direction, tmp_path, capsys):
+    # shifted, unaligned, epoch-ns and tied traces with mixed directions
+    name = f"w{w_ms}-t{t_ms}" + (f"-{direction}" if direction else "") + ".csv"
+    args = ["distance", "--trace-dir", os.path.join(GOLDEN, "traces"), "--W-ms", str(w_ms)]
+    args += ["--T-ms", str(t_ms), "--out", str(tmp_path / name)]
+    args += ["--direction", direction] if direction else []
+    assert main(args) == 0
+    with open(os.path.join(GOLDEN, "expected", name), "rb") as fh:
+        expect = fh.read()
+    assert (tmp_path / name).read_bytes() == expect
+    assert capsys.readouterr().out.encode() == expect
+
+
 def test_tamaraw_command(capsys):
     code = main(["tamaraw", "--epsilon", "1", "--corpus-size", "96"])
     assert code == 0

@@ -55,6 +55,18 @@ def test_empty_stream_without_horizon_rejected():
         simulate([as_stream([])], SimConfig(PARAMS, seed=3))
 
 
+@pytest.mark.parametrize(
+    "flows",
+    [[[(2**63 - 50 * MS, 1000)]], [[(0, 2**62), (MS, 2**62)]], [[(0, 2**62)], [(MS, 2**62)]]],
+    ids=["last-tick-past-2**63", "byte-total-2**63", "two-flows-2**63"],
+)
+def test_int64_overflow_rejected(flows):
+    # Else the tick times wrap (a SchedulingError at a negative step time) or
+    # the byte offsets of the waits leave int64 (a raw OverflowError).
+    with pytest.raises(ConfigError):
+        simulate([as_stream(points) for points in flows], SimConfig(PARAMS, seed=1, sigma=0.0))
+
+
 @pytest.mark.parametrize("horizon", [0, -5_000 * MS])
 def test_horizon_below_one_ns_rejected(horizon):
     # else a stream with no packets and a negative horizon runs one tick
@@ -406,20 +418,10 @@ def test_latency_stats_need_no_stable_sort(pairs):
     assert sim_module._latency_stats(lengths, waits) == stable_latency_stats(lengths, waits)
 
 
-def test_streams_build_their_columns_once():
-    streams = [constant_rate_stream(), constant_rate_stream(rate_bytes=700)]
-    assert not any("columns" in vars(s) for s in streams)
-    first = simulate(streams, SimConfig(PARAMS, seed=1))
-    built = [s.columns for s in streams]
-    second = simulate(streams, SimConfig(PARAMS, seed=1))
-    assert all(s.columns is columns for s, columns in zip(streams, built))
-    assert intervals_to_csv(first) == intervals_to_csv(second)
-
-
 @pytest.mark.parametrize("axis,values", [("sigma", [0.0, 2_000.0, 9_000.0]), ("flows", [1, 3, 4])])
 def test_sweep_csv_matches_simulate_on_fresh_streams(axis, values):
-    # The sweep reuses each stream's cached columns across rows, and the
-    # "flows" axis one stream several times in a row; neither may show.
+    # The sweep reuses each stream across rows, and the "flows" axis one
+    # stream several times in a row; neither may show.
     def fresh():  # two flows whose packets share every timestamp
         return [constant_rate_stream(count=150), constant_rate_stream(700, count=150)]
 
