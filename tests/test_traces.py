@@ -99,6 +99,20 @@ def test_streams_are_immutable(recs):
         s.times = np.zeros(len(s), np.int64)
 
 
+@pytest.mark.parametrize("points", [[], [(5, 100), (5, 200), (2**40, 300)]])
+def test_columns_are_a_cache_that_equality_hash_and_pickle_ignore(points):
+    # The int64 columns are the stream itself now: no object-array cache is left to
+    # ignore, and equality, hash, repr and pickle follow the columns' content.
+    built, plain = make_stream(points), make_stream(points)
+    assert set(vars(built)) == {"times", "lengths", "inbound"}
+    assert packets(built) == points and built.times.dtype == built.lengths.dtype == np.int64
+    assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+    for stream in (built, plain):
+        back = pickle.loads(pickle.dumps(stream))
+        assert back == stream and hash(back) == hash(stream) and packets(back) == points
+        assert not (back.times.flags.writeable or back.lengths.flags.writeable)
+
+
 @given(records, st.randoms(use_true_random=False))
 def test_equal_hash_and_pickle_by_content(recs, rng):
     s = Stream.from_records(recs)
